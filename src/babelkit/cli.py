@@ -4,8 +4,6 @@ Subcommands: eval, hmap, align, gradlab, sample. Exit codes: 0 success,
 2 input/config error, 3 numerical failure. Every run writes a manifest
 (JSON, atomically) recording command, config, seed, version, and outputs,
 so runs are reproducible byte-for-byte from the manifest alone.
-
-``BABELKIT_THREADS`` caps internal parallelism (0 or unset = auto).
 """
 
 import argparse
@@ -28,17 +26,6 @@ from babelkit import sampler as S
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-
-def thread_cap():
-    raw = os.environ.get("BABELKIT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"BABELKIT_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError(f"BABELKIT_THREADS must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 @dataclass
@@ -85,8 +72,17 @@ def _write_json(path, obj):
 
 
 def _load_json(path):
+    """A config file; NaN, Infinity and numbers that overflow to inf are
+    config errors (ValueError), not values to train with."""
+
+    def finite(text):
+        v = float(text)
+        if not math.isfinite(v):
+            raise ValueError(f"{path}: non-finite number {text}")
+        return v
+
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=finite, parse_constant=finite)
 
 
 def bundled_path(name):
@@ -102,10 +98,7 @@ def cmd_eval(args):
         registry = deteval_io.load_registry(args.registry)
         gts = deteval_io.load_ground_truth(args.gt)
         dets = deteval_io.load_detections(args.det)
-        workers = thread_cap()
-        report = deteval.evaluate(
-            dets, gts, registry, ap_mode=args.ap_mode, workers=workers
-        )
+        report = deteval.evaluate(dets, gts, registry, ap_mode=args.ap_mode)
     except (deteval_io.RecordError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

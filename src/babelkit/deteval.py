@@ -8,19 +8,24 @@ Conventions (documented here because typical inputs never exercise them):
     so results are invariant under permutation of the input records.
   - A category with no ground truth and no detections scores AP 1.0; with
     detections but no ground truth, AP 0.0.
+  - Each category's detections are sorted once and each image's IoU table
+    is computed once; the greedy match and the envelope then run once per
+    threshold over those.
 
 All internal values are fractions in [0, 1]; rendering as percent is a
 presentation concern (see cli).
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 DEFAULT_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     xmin: float
     ymin: float
@@ -38,7 +43,7 @@ class Box:
         return (self.xmax - self.xmin) * (self.ymax - self.ymin)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     image_id: str
     category: str
@@ -50,7 +55,7 @@ class Detection:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthEntry:
     image_id: str
     category: str
@@ -95,6 +100,39 @@ def iou(a, b):
     return inter / union
 
 
+def _min(x, y):
+    """Elementwise ``min(x, y)`` as Python computes it: x on ties, so the
+    sign of a zero survives as in ``iou`` (``np.minimum`` does not promise it)."""
+    return np.where(y < x, y, x)
+
+
+def _max(x, y):
+    """Elementwise ``max(x, y)`` as Python computes it; see ``_min``."""
+    return np.where(y > x, y, x)
+
+
+def iou_table(a, b):
+    """IoU of every row of ``a`` (..., n, 4) with every row of ``b`` (..., m, 4),
+    rows [xmin, ymin, xmax, ymax]: the (..., n, m) tables of ``iou(a[i], b[j])``,
+    with the same float operations in the same order, so equal bit for bit.
+    Leading dimensions broadcast: a stack of images gives a stack of tables."""
+    a, b = a[..., :, None, :], b[..., None, :, :]
+    ix = _min(a[..., 2], b[..., 2]) - _max(a[..., 0], b[..., 0])
+    iy = _min(a[..., 3], b[..., 3]) - _max(a[..., 1], b[..., 1])
+    inter = _max(ix, 0.0) * _max(iy, 0.0)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
+def _box_array(records):
+    """(n, 4) float64 array of the records' [xmin, ymin, xmax, ymax]."""
+    boxes = (r.box for r in records)
+    coords = chain.from_iterable((b.xmin, b.ymin, b.xmax, b.ymax) for b in boxes)
+    return np.fromiter(coords, dtype=np.float64, count=4 * len(records)).reshape(-1, 4)
+
+
 def sort_detections(dets):
     """Canonical evaluation order: score desc, then image_id and box
     coordinates ascending. The key depends only on record content, so
@@ -108,79 +146,115 @@ def sort_detections(dets):
     return sorted(range(len(dets)), key=key)
 
 
-def match_detections(dets_in_order, gts, iou_threshold):
-    """Greedy matching in the given order; each ground truth matches at most
-    once. Returns a list of booleans (True = true positive)."""
-    matched = [False] * len(gts)
-    by_image = {}
-    for j, gt in enumerate(gts):
-        by_image.setdefault(gt.image_id, []).append(j)
-    flags = []
-    for det in dets_in_order:
-        best_j = -1
-        best_iou = 0.0
-        for j in by_image.get(det.image_id, ()):
-            if matched[j]:
-                continue
-            v = iou(det.box, gts[j].box)
-            if v >= iou_threshold and v > best_iou:
-                best_iou = v
-                best_j = j
-        if best_j >= 0:
-            matched[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+def _by_image(codes, n_images):
+    """Record indices grouped by image code (ascending within an image),
+    with each image's count and start in that grouping. Code -1 is left out."""
+    kept = np.flatnonzero(codes >= 0)
+    grouped = kept[np.argsort(codes[kept], kind="stable")]
+    counts = np.bincount(codes[kept], minlength=n_images)
+    return grouped, counts, np.cumsum(counts) - counts
+
+
+def match_candidates(dets_in_order, gts, min_iou):
+    """Every (detection, ground truth) pair of one image with IoU >= min_iou:
+    the pairs any threshold >= min_iou can match.
+
+    One IoU table per image (that image's detections x ground truths); the
+    images whose tables have the same shape go through ``iou_table`` as one
+    stack. Returns (k, iou, j) triples, k the detection's position and j the
+    ground truth's index, sorted by k, then iou descending, then j."""
+    images = {}
+    gt_img = np.array([images.setdefault(g.image_id, len(images)) for g in gts], dtype=np.int64)
+    det_img = np.array([images.get(d.image_id, -1) for d in dets_in_order], dtype=np.int64)
+    dets_by_img, n_det, det_start = _by_image(det_img, len(images))
+    gts_by_img, n_gt, gt_start = _by_image(gt_img, len(images))
+    det_boxes, gt_boxes = _box_array(dets_in_order), _box_array(gts)
+    ks, ious, js = [], [], []
+    for nd, ng in set(zip(n_det.tolist(), n_gt.tolist())):
+        if nd == 0:
+            continue
+        stack = np.flatnonzero((n_det == nd) & (n_gt == ng))
+        k = dets_by_img[det_start[stack, None] + np.arange(nd)]
+        j = gts_by_img[gt_start[stack, None] + np.arange(ng)]
+        tables = iou_table(det_boxes[k], gt_boxes[j])
+        b, r, c = np.nonzero(tables >= min_iou)
+        ks.append(k[b, r])
+        ious.append(tables[b, r, c])
+        js.append(j[b, c])
+    if not ks:
+        return []
+    k, v, j = np.concatenate(ks), np.concatenate(ious), np.concatenate(js)
+    order = np.lexsort((j, -v, k))
+    return list(zip(k[order].tolist(), v[order].tolist(), j[order].tolist()))
+
+
+def match_detections(candidates, n_dets, iou_threshold):
+    """Greedy matching in canonical order over ``match_candidates`` output:
+    each detection takes the unmatched ground truth of highest IoU at or
+    above the threshold (the earliest on equal IoU), and each ground truth
+    matches at most once. Returns a boolean array (True = true positive)."""
+    matched = set()
+    hits = []
+    done = -1  # the last detection that matched or ran out of candidates
+    for k, v, j in candidates:
+        if k == done:
+            continue
+        if v < iou_threshold:
+            done = k
+        elif j not in matched:
+            matched.add(j)
+            hits.append(k)
+            done = k
+    flags = np.zeros(n_dets, dtype=bool)
+    flags[hits] = True
     return flags
 
 
-def _ap_from_points(recalls, precisions, mode):
-    """Area under the monotone (all-points) envelope of the PR points, or
-    the 101-point average when mode == '101pt'."""
-    if not recalls:
-        return 0.0
+def _ap_from_flags(flags, n_gt, mode):
+    """Area under the monotone (all-points) envelope of the precision-recall
+    curve of the true-positive flags, or the 101-point average when mode ==
+    '101pt'. The envelope is a suffix max; the sum runs sequentially in
+    recall order (``cumsum``, not pairwise ``sum``)."""
+    tp = np.cumsum(flags)
+    recall = tp / n_gt
+    envelope = np.maximum.accumulate((tp / np.arange(1, len(flags) + 1))[::-1])[::-1]
     if mode == "101pt":
-        total = 0.0
-        for r in (i / 100.0 for i in range(101)):
-            p = 0.0
-            for rr, pp in zip(recalls, precisions):
-                if rr >= r and pp > p:
-                    p = pp
-            total += p
-        return total / 101.0
-    ap = 0.0
-    prev_recall = 0.0
-    for i in range(len(recalls)):
-        if recalls[i] <= prev_recall:
-            continue
-        # interpolated precision: best precision at recall >= recalls[i]
-        p = max(precisions[i:])
-        ap += (recalls[i] - prev_recall) * p
-        prev_recall = recalls[i]
-    return ap
+        at = np.searchsorted(recall, np.arange(101) / 100.0, side="left")
+        p = np.zeros(101)
+        reached = at < len(recall)
+        p[reached] = envelope[at[reached]]
+        return float(np.cumsum(p)[-1]) / 101.0
+    hits = np.flatnonzero(flags)
+    if not len(hits):
+        return 0.0
+    # recall rises exactly at the true positives
+    steps = np.diff(recall[hits], prepend=0.0)
+    return float(np.cumsum(steps * envelope[hits])[-1])
+
+
+def _category_aps(dets, gts, thresholds, ap_mode):
+    """{threshold: AP} for one category: one canonical sort, one IoU table
+    per image, one greedy match and one envelope per threshold."""
+    for t in thresholds:
+        if not 0.0 < t < 1.0:
+            raise ValueError(f"iou_threshold must be in (0, 1), got {t}")
+    cats = {d.category for d in dets} | {g.category for g in gts}
+    if len(cats) > 1:
+        raise ValueError(f"mixed categories in one AP computation: {sorted(cats)}")
+    if not gts or not dets:
+        ap = 1.0 if not gts and not dets else 0.0
+        return {t: ap for t in thresholds}
+    ordered = [dets[i] for i in sort_detections(dets)]
+    candidates = match_candidates(ordered, gts, min(thresholds))
+    return {
+        t: _ap_from_flags(match_detections(candidates, len(ordered), t), len(gts), ap_mode)
+        for t in thresholds
+    }
 
 
 def average_precision(dets, gts, iou_threshold, ap_mode="all-points"):
     """AP for a single category at one IoU threshold."""
-    if not 0.0 < iou_threshold < 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
-    cats = {d.category for d in dets} | {g.category for g in gts}
-    if len(cats) > 1:
-        raise ValueError(f"mixed categories in one AP computation: {sorted(cats)}")
-    if not gts:
-        return 1.0 if not dets else 0.0
-    if not dets:
-        return 0.0
-    order = sort_detections(dets)
-    flags = match_detections([dets[i] for i in order], gts, iou_threshold)
-    recalls, precisions = [], []
-    tp = 0
-    for k, flag in enumerate(flags, start=1):
-        if flag:
-            tp += 1
-        recalls.append(tp / len(gts))
-        precisions.append(tp / k)
-    return _ap_from_points(recalls, precisions, ap_mode)
+    return _category_aps(dets, gts, (iou_threshold,), ap_mode)[iou_threshold]
 
 
 def map_over_thresholds(dets, gts, thresholds=DEFAULT_THRESHOLDS, ap_mode="all-points"):
@@ -188,7 +262,7 @@ def map_over_thresholds(dets, gts, thresholds=DEFAULT_THRESHOLDS, ap_mode="all-p
     thresholds = tuple(thresholds)
     if not thresholds:
         raise ValueError("threshold list must be non-empty")
-    per = {t: average_precision(dets, gts, t, ap_mode) for t in thresholds}
+    per = _category_aps(dets, gts, thresholds, ap_mode)
     return per, sum(per.values()) / len(per)
 
 
@@ -265,13 +339,8 @@ class EvalReport:
         return f"mAP={100 * self.global_map:.2f} H-mAP={100 * self.hmap:.2f}"
 
 
-def evaluate(dets, gts, registry, thresholds=DEFAULT_THRESHOLDS, ap_mode="all-points",
-             workers=1):
-    """Full pipeline: per-category APs, modality mAPs, global mAP, H-mAP.
-
-    Categories are independent, so they may be evaluated in parallel;
-    the merge is by category key and identical to the sequential result.
-    """
+def evaluate(dets, gts, registry, thresholds=DEFAULT_THRESHOLDS, ap_mode="all-points"):
+    """Full pipeline: per-category APs, modality mAPs, global mAP, H-mAP."""
     for d in dets:
         registry.modality_of(d.category)
     for g in gts:
@@ -284,19 +353,14 @@ def evaluate(dets, gts, registry, thresholds=DEFAULT_THRESHOLDS, ap_mode="all-po
     for g in gts:
         by_cat_g[g.category].append(g)
 
-    def one(cat):
+    per_category_ap = {}
+    for cat in sorted(registry.categories):
         per, mean_ap = map_over_thresholds(by_cat_d[cat], by_cat_g[cat], thresholds, ap_mode)
-        ap50 = per.get(0.5, average_precision(by_cat_d[cat], by_cat_g[cat], 0.5, ap_mode))
-        return cat, {"per_threshold": per, "mean": mean_ap, "ap50": ap50}
+        ap50 = per[0.5] if 0.5 in per else average_precision(
+            by_cat_d[cat], by_cat_g[cat], 0.5, ap_mode
+        )
+        per_category_ap[cat] = {"per_threshold": per, "mean": mean_ap, "ap50": ap50}
 
-    cats = sorted(registry.categories)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(one, cats))
-    else:
-        results = dict(one(c) for c in cats)
-
-    per_category_ap = {c: results[c] for c in cats}
     mean_aps = {c: d["mean"] for c, d in per_category_ap.items()}
     per_mod = modality_map(mean_aps, registry)
     return EvalReport(

@@ -10,6 +10,7 @@ Errors carry the 1-based line number and the offending field.
 """
 
 import json
+from math import isfinite
 
 from babelkit.deteval import Box, Detection, GroundTruthEntry, ModalityRegistry
 
@@ -26,7 +27,10 @@ def _parse_box(obj, path, line_no):
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise RecordError(path, line_no, "field 'bbox' must be [xmin, ymin, xmax, ymax]")
     try:
-        return Box(*(float(v) for v in bbox))
+        xmin, ymin, xmax, ymax = map(float, bbox)
+        if not (isfinite(xmin) and isfinite(ymin) and isfinite(xmax) and isfinite(ymax)):
+            raise ValueError(f"coordinates must be finite, got {bbox}")
+        return Box(xmin, ymin, xmax, ymax)
     except (TypeError, ValueError) as exc:
         raise RecordError(path, line_no, f"field 'bbox': {exc}") from None
 

@@ -70,6 +70,25 @@ class TestEval:
         assert line.endswith("H-mAP=0.00")
         assert not line.startswith("mAP=0.00")
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_box_exit_2(self, fixture_dir, capsys, bad):
+        # scored, the NaN box would be a false positive ahead of the hit: AP 0.5
+        tmp_path, reg, _, _, _ = fixture_dir
+        gt = write_jsonl(tmp_path / "g.jsonl",
+                         [{"image_id": "i", "category": "ship", "bbox": [0, 0, 10, 10]}])
+        det = tmp_path / "d.jsonl"
+        det.write_text(
+            '{"image_id": "i", "category": "ship", "bbox": [%s, 0, 10, 10], "score": 0.9}\n'
+            '{"image_id": "i", "category": "ship", "bbox": [0, 0, 10, 10], "score": 0.5}\n' % bad,
+            encoding="utf-8",
+        )
+        out = tmp_path / "out_nan"
+        argv = ["eval", "--gt", gt, "--det", str(det), "--registry", reg, "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "d.jsonl:1: field 'bbox': coordinates must be finite" in err
+        assert not out.exists()
+
     def test_parse_error_exit_2(self, fixture_dir, capsys):
         tmp_path, reg, gt, _, _ = fixture_dir
         bad = tmp_path / "bad.jsonl"
@@ -138,6 +157,15 @@ class TestAlign:
         assert run(["align", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_config_exit_2(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"steps": 5, "lr": %s}' % bad, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["align", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonfinite_exit_3_with_step(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"steps": 80, "lr": 1e8}), encoding="utf-8")
@@ -151,6 +179,17 @@ class TestGradlabConfigErrors:
         cfg.write_text(json.dumps({"lambdas": [0, 1]}), encoding="utf-8")
         assert run(["gradlab", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_non_finite_number_exit_2(self, tmp_path, capsys):
+        with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg["stability"]["base"]["lr"] = float("nan")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")  # writes the literal NaN
+        out = tmp_path / "o"
+        assert run(["gradlab", "--config", str(path), "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSample:
@@ -193,13 +232,3 @@ class TestSample:
         assert run(["sample", "--recipe", str(recipe), "--out", str(tmp_path / "m.csv")]) == 2
         assert "error" in capsys.readouterr().err
 
-
-class TestThreadCap:
-    def test_values(self, monkeypatch):
-        monkeypatch.setenv("BABELKIT_THREADS", "3")
-        assert cli.thread_cap() == 3
-        monkeypatch.setenv("BABELKIT_THREADS", "0")
-        assert cli.thread_cap() >= 1
-        monkeypatch.setenv("BABELKIT_THREADS", "zebra")
-        with pytest.raises(ValueError):
-            cli.thread_cap()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from babelkit import deteval
 from babelkit.deteval import (
     DEFAULT_THRESHOLDS,
     Box,
@@ -10,11 +11,13 @@ from babelkit.deteval import (
     EvalReport,
     GroundTruthEntry,
     ModalityRegistry,
+    _ap_from_flags,
     average_precision,
     evaluate,
     global_union_map,
     harmonic_modality_map,
     iou,
+    iou_table,
     map_over_thresholds,
     modality_map,
 )
@@ -105,6 +108,31 @@ def oracle_ap(dets, gts, thr):
     return ap
 
 
+def quadratic_ap_from_points(recalls, precisions, mode):
+    """The evaluator's former envelope: max(precisions[i:]) at every recall
+    step, and a scan of every point for each of the 101 recall levels."""
+    if not recalls:
+        return 0.0
+    if mode == "101pt":
+        total = 0.0
+        for r in (i / 100.0 for i in range(101)):
+            p = 0.0
+            for rr, pp in zip(recalls, precisions):
+                if rr >= r and pp > p:
+                    p = pp
+            total += p
+        return total / 101.0
+    ap = 0.0
+    prev_recall = 0.0
+    for i in range(len(recalls)):
+        if recalls[i] <= prev_recall:
+            continue
+        p = max(precisions[i:])
+        ap += (recalls[i] - prev_recall) * p
+        prev_recall = recalls[i]
+    return ap
+
+
 def random_instance(rng, n_det, n_gt, category="cat"):
     def box():
         x0, y0 = rng.uniform(0, 50, 2)
@@ -134,6 +162,34 @@ class TestIoU:
     def test_degenerate_union(self):
         b = Box(1, 1, 1, 1)
         assert iou(b, b) == 0.0
+
+    def test_table_bit_identical_to_scalar(self):
+        rng = np.random.default_rng(21)
+
+        def boxes(n):
+            # corners on a coarse grid with signed zeros make identical,
+            # touching and zero-area boxes common; the rest are arbitrary
+            grid = rng.integers(-3, 4, (n, 4)) * rng.choice([-0.5, 0.5], (n, 4))
+            corners = np.where(rng.random((n, 1)) < 0.7, grid, rng.uniform(-2, 2, (n, 4)))
+            lo = np.minimum(corners[:, :2], corners[:, 2:])
+            hi = np.maximum(corners[:, :2], corners[:, 2:])
+            return np.concatenate([lo, hi], axis=1)
+
+        seen = {"zero-area": 0, "identical": 0, "touching": 0, "disjoint": 0}
+        for _ in range(300):
+            a = boxes(int(rng.integers(1, 8)))
+            b = np.concatenate([boxes(int(rng.integers(0, 8))), a[:1]])
+            table = iou_table(a, b)
+            assert table.shape == (len(a), len(b))
+            for i, ra in enumerate(a.tolist()):
+                for j, rb in enumerate(b.tolist()):
+                    ba, bb = Box(*ra), Box(*rb)
+                    assert table[i, j].hex() == iou(ba, bb).hex(), (ra, rb)
+                    seen["zero-area"] += ba.area == 0.0 or bb.area == 0.0
+                    seen["identical"] += ra == rb
+                    seen["touching"] += ra[2] == rb[0] or ra[3] == rb[1]
+                    seen["disjoint"] += ra[2] < rb[0]
+        assert min(seen.values()) > 50, seen
 
     def test_box_validation(self):
         with pytest.raises(ValueError, match="xmax"):
@@ -206,6 +262,24 @@ class TestAveragePrecision:
             dets, gts = random_instance(rng, 8, 5)
             perm = [dets[i] for i in rng.permutation(len(dets))]
             assert average_precision(dets, gts, 0.5) == average_precision(perm, gts, 0.5)
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("mode", ["all-points", "101pt"])
+    def test_suffix_max_equals_quadratic(self, mode):
+        rng = np.random.default_rng(31)
+        for _ in range(400):
+            n = int(rng.integers(1, 200))
+            flags = rng.random(n) < rng.uniform(0.0, 1.0)
+            n_gt = max(1, int(flags.sum()) + int(rng.integers(0, 6)))
+            recalls, precisions, tp = [], [], 0
+            for k, flag in enumerate(flags.tolist(), start=1):
+                tp += flag
+                recalls.append(tp / n_gt)
+                precisions.append(tp / k)
+            got = _ap_from_flags(flags, n_gt, mode)
+            assert type(got) is float
+            assert got.hex() == quadratic_ap_from_points(recalls, precisions, mode).hex()
 
 
 class TestMapOverThresholds:
@@ -392,17 +466,76 @@ class TestEvaluate:
                 expect = sum(oracle_ap(dc, gc, t) for t in DEFAULT_THRESHOLDS) / 10
                 assert rep.per_category_ap[cat]["mean"] == expect
 
-    def test_parallel_matches_sequential(self):
-        rng = np.random.default_rng(11)
+    def _tied_instance(self, rng):
+        """Many images; scores on a 0.1 grid, duplicated ground-truth boxes,
+        near-duplicate detections on a half-pixel grid, and top-scored
+        detections halfway between two ground truths (equal IoU with both),
+        so equal scores and equal IoUs decide many matches. 'person' has no
+        ground truth."""
         reg = self._registry()
+        images = [f"img{i:02d}" for i in range(40)]
         dets, gts = [], []
         for cat in reg.categories:
-            d, g = random_instance(rng, 12, 8, cat)
-            dets += d
-            gts += g
-        seq = evaluate(dets, gts, reg, workers=1)
-        par = evaluate(dets, gts, reg, workers=4)
-        assert seq.to_dict() == par.to_dict()
+            for _ in range(60 if cat != "person" else 0):
+                img = images[rng.integers(len(images))]
+                x, y = rng.integers(0, 20, 2) * 2.0
+                w, h = rng.integers(2, 8, 2) * 2.0
+                gts.append(GroundTruthEntry(img, cat, Box(x, y, x + w, y + h)))
+                if rng.random() < 0.2:
+                    gts.append(gts[-1])
+                elif rng.random() < 0.3:
+                    gts.append(GroundTruthEntry(img, cat, Box(x + 2.0, y, x + w + 2.0, y + h)))
+                    dets.append(Detection(img, cat, Box(x + 1.0, y, x + w + 1.0, y + h), 1.0))
+                for _ in range(rng.integers(0, 4)):
+                    dx, dy = rng.integers(-1, 2, 2) * 0.5
+                    box = Box(x + dx, y + dy, x + w + dx, y + h + dy)
+                    dets.append(Detection(img, cat, box, rng.integers(0, 11) / 10))
+            for _ in range(30):
+                x, y = rng.integers(0, 40, 2) * 1.0
+                box = Box(x, y, x + 6.0, y + 6.0)
+                dets.append(Detection(images[rng.integers(len(images))], cat, box,
+                                      rng.integers(0, 11) / 10))
+        return dets, gts, reg
+
+    def test_many_images_with_ties_match_oracle(self):
+        dets, gts, reg = self._tied_instance(np.random.default_rng(11))
+        assert len(set(gts)) < len(gts)
+        rep = evaluate(dets, gts, reg)
+        for cat in reg.categories:
+            dc = [d for d in dets if d.category == cat]
+            gc = [g for g in gts if g.category == cat]
+            per = rep.per_category_ap[cat]["per_threshold"]
+            assert per == {t: oracle_ap(dc, gc, t) for t in DEFAULT_THRESHOLDS}
+            assert rep.per_category_ap[cat]["ap50"] == per[0.5]
+        assert 0.0 < rep.global_map < 1.0
+
+    def test_ap50_outside_the_grid(self):
+        dets, gts, reg = self._tied_instance(np.random.default_rng(12))
+        rep = evaluate(dets, gts, reg, thresholds=(0.6, 0.75))
+        for cat in reg.categories:
+            dc = [d for d in dets if d.category == cat]
+            gc = [g for g in gts if g.category == cat]
+            assert set(rep.per_category_ap[cat]["per_threshold"]) == {0.6, 0.75}
+            assert rep.per_category_ap[cat]["ap50"] == oracle_ap(dc, gc, 0.5)
+
+    def test_one_sort_per_category(self, monkeypatch):
+        dets, gts, reg = self._tied_instance(np.random.default_rng(13))
+        calls = {"sort": 0, "match": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(deteval, "sort_detections",
+                            counted("sort", deteval.sort_detections))
+        monkeypatch.setattr(deteval, "match_detections",
+                            counted("match", deteval.match_detections))
+        evaluate(dets, gts, reg)
+        scored = [c for c in reg.categories
+                  if any(d.category == c for d in dets) and any(g.category == c for g in gts)]
+        assert calls == {"sort": len(scored), "match": len(scored) * len(DEFAULT_THRESHOLDS)}
 
     def test_unregistered_category_rejected(self):
         reg = self._registry()
