@@ -205,7 +205,14 @@ def cmd_gradlab(args):
         precisions = list(stability["precisions"])
         for p in precisions:
             gradlab.resolve_precision(p)
-        prop3_cfg = obj["prop3"]
+        prop3 = obj["prop3"]
+        p3_run = gradlab.RunConfig(
+            align=P.AlignConfig.from_dict(prop3["align"]),
+            pretrain_steps=int(prop3["pretrain_steps"]),
+            lr=float(prop3["lr"]),
+        )
+        p3_seeds = [int(s) for s in prop3["seeds"]]
+        gradlab.check_prop3_inputs(p3_run, p3_seeds)
         report_align = P.AlignConfig.from_dict(obj["gradient_report"]["align"])
     except (KeyError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -255,12 +262,7 @@ def cmd_gradlab(args):
     _write_json(grad_path, grad_report.to_dict())
     outputs.append(grad_path)
 
-    p3_run = gradlab.RunConfig(
-        align=P.AlignConfig.from_dict(prop3_cfg["align"]),
-        pretrain_steps=int(prop3_cfg["pretrain_steps"]),
-        lr=float(prop3_cfg["lr"]),
-    )
-    p3 = gradlab.proposition3_experiment(p3_run, [int(s) for s in prop3_cfg["seeds"]])
+    p3 = gradlab.proposition3_experiment(p3_run, p3_seeds)
     p3_path = os.path.join(args.out, "prop3.json")
     _write_json(p3_path, p3)
     outputs.append(p3_path)

@@ -399,13 +399,17 @@ def run_two_stage(config):
 # -- gradient-coherence experiment (Prop. 3) ---------------------------------
 
 
-def proposition3_experiment(config, seeds):
-    """Mean pairwise detection-gradient cosine at random init vs after
-    language-pivoted pretraining, per seed and averaged."""
+def check_prop3_inputs(config, seeds):
     if len(config.align.modalities) < 2:
         raise ValueError("need at least 2 modalities for pairwise cosines")
     if len(seeds) < 3:
         raise ValueError("need at least 3 seeds")
+
+
+def proposition3_experiment(config, seeds):
+    """Mean pairwise detection-gradient cosine at random init vs after
+    language-pivoted pretraining, per seed and averaged."""
+    check_prop3_inputs(config, seeds)
     per_seed = []
     for seed in seeds:
         align = P.AlignConfig(**{**config.align.__dict__, "seed": int(seed)})

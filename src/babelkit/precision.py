@@ -5,30 +5,15 @@ every accumulated gradient) to the nearest value representable with a
 configurable mantissa width and exponent range. The default mode is exact
 float64, under which quantization is the identity.
 
-The element-wise kernel has a compiled (Cython) implementation selected at
-import time, with a numpy fallback; set BABELKIT_NO_EXT=1 to force the
-fallback. Both produce bit-identical results.
+FP16 is IEEE binary16, so its rounding is numpy's own float16 round trip.
+Every other grid goes through ``_round_to_grid``, a round-to-nearest-even
+in numpy that gives the same values as that round trip on the FP16 grid.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
-
-if os.environ.get("BABELKIT_NO_EXT") == "1":
-    from babelkit import _quantize_np as _kernel
-
-    HAVE_EXT = False
-else:
-    try:
-        from babelkit import _quantize_c as _kernel
-
-        HAVE_EXT = True
-    except ImportError:
-        from babelkit import _quantize_np as _kernel
-
-        HAVE_EXT = False
 
 
 @dataclass(frozen=True)
@@ -77,14 +62,35 @@ def quantize_array(x, mode):
     arr = np.asarray(x, dtype=np.float64)
     if mode.is_exact:
         return arr
-    out = np.array(arr, copy=True, order="C")
-    _kernel.quantize_inplace(
-        out.reshape(-1),
-        mode.mantissa_bits,
-        mode.exponent_min,
-        mode.exponent_max,
-        mode.flush_subnormals,
-    )
+    if mode == FP16:
+        # overflow to +-inf is the emulated behaviour, not a fault
+        with np.errstate(over="ignore"):
+            return arr.astype(np.float16).astype(np.float64)
+    return _round_to_grid(arr, mode)
+
+
+def _round_to_grid(arr, mode):
+    """Round-to-nearest-even onto ``mode``'s grid; returns a new array.
+    Zeros, NaN and infinities are left as they are."""
+    mb = mode.mantissa_bits
+    out = arr.copy()
+    work = (out != 0.0) & np.isfinite(out)
+    v = out[work]
+    m, e = np.frexp(v)
+    q = np.ldexp(np.rint(np.ldexp(m, mb + 1)), e - (mb + 1))
+
+    sub = (e - 1) < mode.exponent_min
+    if sub.any():
+        step = math.ldexp(1.0, mode.exponent_min - mb)
+        qs = np.rint(v[sub] / step) * step
+        if mode.flush_subnormals:
+            qs[np.abs(qs) < math.ldexp(1.0, mode.exponent_min)] = 0.0
+        q[sub] = qs
+
+    over = np.abs(q) > mode.max_finite
+    q[over] = np.copysign(np.inf, q[over])
+
+    out[work] = q
     return out
 
 

@@ -191,6 +191,24 @@ class TestGradlabConfigErrors:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("pretrain_steps", None), ("align", {"no_such_key": 1}), ("seeds", [0, 1]), ("lr", "fast")],
+    )
+    def test_bad_prop3_exit_2_before_any_work(self, tmp_path, capsys, key, value):
+        with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if value is None:
+            del cfg["prop3"][key]
+        else:
+            cfg["prop3"][key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["gradlab", "--config", str(path), "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSample:
     def test_determinism_byte_identical(self, tmp_path, capsys):

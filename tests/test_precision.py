@@ -1,24 +1,27 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import babelkit
-from babelkit import _quantize_np
 from babelkit.precision import (
     EXACT,
     FP16,
     PrecisionMode,
+    _round_to_grid,
     quantize_array,
     quantize_scalar,
 )
 
 FP16_MAX = 65504.0
+# FP16 takes the float16 cast, every other grid the generic rounding
+PROPERTY_MODES = (FP16, PrecisionMode(3, -4, 4))
+
+
+def float16_round_trip(x):
+    with np.errstate(over="ignore"):
+        return np.asarray(x, dtype=np.float64).astype(np.float16).astype(np.float64)
 
 
 class TestModeValidation:
@@ -99,53 +102,57 @@ class TestQuantizeProperties:
     @given(reasonable_floats())
     @settings(max_examples=300, deadline=None)
     def test_idempotent(self, x):
-        once = quantize_scalar(x, FP16)
-        assert quantize_scalar(once, FP16) == once or math.isinf(once)
+        for mode in PROPERTY_MODES:
+            once = quantize_scalar(x, mode)
+            assert quantize_scalar(once, mode) == once or math.isinf(once)
 
     @given(reasonable_floats(), reasonable_floats())
     @settings(max_examples=300, deadline=None)
     def test_monotone(self, x, y):
         lo, hi = min(x, y), max(x, y)
-        assert quantize_scalar(lo, FP16) <= quantize_scalar(hi, FP16)
+        for mode in PROPERTY_MODES:
+            assert quantize_scalar(lo, mode) <= quantize_scalar(hi, mode)
 
     @given(reasonable_floats())
     @settings(max_examples=300, deadline=None)
     def test_sign_symmetric(self, x):
-        assert quantize_scalar(-x, FP16) == -quantize_scalar(x, FP16)
+        for mode in PROPERTY_MODES:
+            assert quantize_scalar(-x, mode) == -quantize_scalar(x, mode)
+
+
+def fp16_value_classes():
+    """Wide exponents, NaN, +-inf, +-0, subnormals, exact midpoints between
+    neighbouring binary16 values (and their float64 neighbours), and the
+    overflow edge around 65504 / 65520."""
+    rng = np.random.default_rng(7)
+    wide = rng.standard_normal(200_000) * np.exp2(rng.uniform(-60, 40, 200_000))
+    special = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+               math.ldexp(1.0, -24), math.ldexp(1.0, -25), math.ldexp(1.0, -14),
+               65504.0, 65519.99, 65520.0, 65535.0, 5e-324, 1e308]
+    grid = float16_round_trip(np.arange(0x7C00, dtype=np.uint16).view(np.float16))
+    mids = (grid[:-1] + grid[1:]) / 2  # exact in float64
+    ties = np.concatenate([mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)])
+    x = np.concatenate([wide, special, ties])
+    return np.concatenate([x, -x])
 
 
 class TestKernelEquivalence:
-    def test_cython_and_numpy_bit_identical(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(20000) * np.exp(rng.uniform(-40, 40, 20000))
-        x[:4] = [math.nan, math.inf, -math.inf, 0.0]
-        for mode in (FP16, PrecisionMode(3, -4, 4), PrecisionMode(0, -2, 2, True)):
-            a = x.copy()
-            b = x.copy()
-            from babelkit import precision
+    def test_fp16_cast_bit_identical_to_generic_rounding(self):
+        x = fp16_value_classes()
+        cast = float16_round_trip(x)
+        assert cast.tobytes() == _round_to_grid(x, FP16).tobytes()
+        # the values reach both ends of the grid: overflow and round-to-zero
+        assert np.isposinf(cast).any() and np.isneginf(cast).any()
+        assert (cast[x != 0] == 0).any()
 
-            precision._kernel.quantize_inplace(
-                a, mode.mantissa_bits, mode.exponent_min, mode.exponent_max,
-                mode.flush_subnormals,
-            )
-            _quantize_np.quantize_inplace(
-                b, mode.mantissa_bits, mode.exponent_min, mode.exponent_max,
-                mode.flush_subnormals,
-            )
-            assert a.tobytes() == b.tobytes()
-
-    def test_fallback_selected_via_env(self):
-        code = (
-            "import babelkit.precision as p; "
-            "assert not p.HAVE_EXT; "
-            "assert p.quantize_scalar(70000.0, p.FP16) == float('inf')"
-        )
-        # The child must import the same babelkit as this process, whether it
-        # comes from a source tree on PYTHONPATH or from an installed copy.
-        pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(babelkit.__file__)))
-        pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
-        subprocess.run(
-            [sys.executable, "-c", code],
-            check=True,
-            env={**os.environ, "BABELKIT_NO_EXT": "1", "PYTHONPATH": pythonpath},
-        )
+    def test_quantize_array_paths(self):
+        x = fp16_value_classes()
+        assert quantize_array(x, FP16).tobytes() == float16_round_trip(x).tobytes()
+        # a flush_subnormals grid is not FP16 and must keep flushing
+        flush = PrecisionMode(10, -14, 15, flush_subnormals=True)
+        out = quantize_array(x, flush)
+        assert out.tobytes() == _round_to_grid(x, flush).tobytes()
+        tiny = np.abs(out) < math.ldexp(1.0, -14)
+        assert np.all(out[tiny] == 0.0)
+        assert quantize_scalar(math.ldexp(1.0, -24), flush) == 0.0
+        assert quantize_scalar(math.ldexp(1.0, -24), FP16) == math.ldexp(1.0, -24)
