@@ -110,7 +110,10 @@ class LinearTask:
 
 class DetectionTask:
     """Per-modality toy detection: linear head on the mean visual token,
-    squared-error loss against concept-dependent box targets."""
+    squared-error loss against concept-dependent box targets.
+
+    The dataset is one image per concept, stacked once as a (C, image_dim)
+    batch with its (C, 4) box targets."""
 
     def __init__(self, modality, generator, vocab, encoder, targets, head, alpha=1.0):
         if not vocab.concepts:
@@ -119,31 +122,25 @@ class DetectionTask:
         self.encoder = encoder
         self.alpha = alpha
         self.head = np.asarray(head, dtype=np.float64)  # (embed_dim, 4)
-        self.samples = []
+        images, boxes = [], []
         for c in vocab.concepts:
             s = generator.generate_sample(vocab, c, rng_seed=0)
-            y = np.asarray(targets[c], dtype=np.float64).reshape(1, 4)
+            y = np.asarray(targets[c], dtype=np.float64).reshape(4)
             if not np.all(np.isfinite(y)):
                 raise ValueError(f"non-finite target for concept {c!r}")
-            self.samples.append((s.image, y))
+            images.append(s.image)
+            boxes.append(y)
+        self.images = np.stack(images)  # (C, image_dim)
+        self.targets = np.stack(boxes)  # (C, 4)
 
     def loss_and_feature(self, params, head_tensor, tp):
-        """(scalar loss, mean feature tensor) for the full dataset."""
-        losses = []
-        feats = None
-        for x, y in self.samples:
-            z = self.encoder.encode(params, x, self.alpha)
-            f = T.mean(z, axis=0, keepdims=True)  # (1, embed_dim)
-            pred = T.matmul(f, head_tensor)
-            err = T.add(pred, T.mul(tp.constant(y), -1.0))
-            losses.append(T.mean(T.mul(err, err)))
-            feats = f if feats is None else T.add(feats, f)
-        total = losses[0]
-        for l in losses[1:]:
-            total = T.add(total, l)
-        loss = T.mul(total, 1.0 / len(losses))
-        mean_feat = T.mul(feats, 1.0 / len(self.samples))
-        return loss, mean_feat
+        """(scalar loss, (1, embed_dim) mean feature tensor) for the full
+        dataset: the loss is mean((f @ head - Y)^2) over the (C, 4) block,
+        f the (C, embed_dim) mean visual tokens."""
+        z = self.encoder.encode(params, self.images, self.alpha)
+        f = T.mean(z, axis=1)  # (C, embed_dim)
+        err = T.add(T.matmul(f, head_tensor), T.mul(tp.constant(self.targets), -1.0))
+        return T.mean(T.mul(err, err)), T.mean(f, axis=0, keepdims=True)
 
     def loss(self, params, tp):
         head_t = tp.constant(self.head)

@@ -7,6 +7,11 @@ decoder (the "pivot") produces next-token logits from the mean visual
 token plus the previous token's embedding. Training minimizes the negative
 log-likelihood of the response tokens only.
 
+A training step is one batched tape graph whatever the batch size: the
+encoder maps an image batch (B, d_x) to visual tokens (B, n_z, d_e), and
+``batch_loss`` scores every response position of every sample with one
+decoder matmul, one softmax and one gather.
+
 The pivot is calibrated once on token-only sequences so that concept token
 chains are already predictable from the previous token; the visual context
 is what disambiguates which chain to start.
@@ -156,20 +161,23 @@ class SharedEncoder:
         """Register current parameter values on a tape; returns name -> Tensor."""
         return {name: tp.parameter(self.params[name], name) for name in self.PARAM_NAMES}
 
-    def encode(self, p, x, alpha):
-        """Visual tokens (token_count, embed_dim) for one image.
+    def encode(self, p, X, alpha):
+        """Visual tokens (B, token_count, embed_dim) for an image batch.
 
-        ``p`` is the tensor dict from register(); ``x`` an image vector.
+        ``p`` is the tensor dict from register(); ``X`` a (B, image_dim)
+        array. The blocks and the LVSA fusion run on the 2-D
+        (B * token_count, embed_dim) token rows.
         """
         cfg = self.config
-        row = np.asarray(x, dtype=np.float64).reshape(1, cfg.image_dim)
-        t0 = T.reshape(T.matmul(row, p["enc.W0"]), (cfg.token_count, cfg.embed_dim))
+        xw = T.matmul(X, p["enc.W0"])  # (B, token_count * embed_dim)
+        batch = xw.shape[0]
+        t0 = T.reshape(xw, (batch * cfg.token_count, cfg.embed_dim))
         t1 = T.relu(T.add(T.matmul(t0, p["enc.W1"]), p["enc.b1"]))
         t2 = T.relu(T.add(T.matmul(t1, p["enc.W2"]), p["enc.b2"]))
-        if not cfg.lvsa_enabled:
-            return t2
-        pyramid = FeaturePyramid([t1, t2])
-        return lvsa.fuse(pyramid, self.selected, alpha)
+        out = t2
+        if cfg.lvsa_enabled:
+            out = lvsa.fuse(FeaturePyramid([t1, t2]), self.selected, alpha)
+        return T.reshape(out, (batch, cfg.token_count, cfg.embed_dim))
 
     def alpha_at(self, t_step):
         if not self.config.lvsa_enabled:
@@ -177,10 +185,11 @@ class SharedEncoder:
         return anneal_alpha(self.schedule, t_step)
 
     def encode_plain(self, x, alpha):
-        """Tape-free encoding (inference only)."""
+        """Tape-free (token_count, embed_dim) encoding of one image vector
+        (inference only)."""
         tp = DiffTape()
         p = {name: tp.constant(self.params[name]) for name in self.PARAM_NAMES}
-        return self.encode(p, x, alpha).data
+        return self.encode(p, np.reshape(x, (1, -1)), alpha).data[0]
 
     def copy(self):
         clone = SharedEncoder.__new__(SharedEncoder)
@@ -200,8 +209,9 @@ class SharedEncoder:
 class LanguagePivot:
     """Frozen token embeddings plus a bigram-with-context linear decoder.
 
-    Next-token logits at response position j are
-        (mean visual token + embedding of previous token) @ W + b.
+    Next-token logits at response position j of sample b are
+        (mean visual token of b + embedding of previous token) @ W + b,
+    computed for all N response positions of a batch as one (N, V) block.
     W, b are fit once by least squares on token-only bigram transitions
     (no images), then never updated.
     """
@@ -239,22 +249,26 @@ class LanguagePivot:
             "pivot.b": tp.parameter(self.b, "pivot.b", trainable=False),
         }
 
-    def response_log_probs(self, fp, tokens, visual_tokens):
+    def response_log_probs(self, fp, token_pairs, visual_tokens):
         """Log-probability tensor of each response token (teacher forced).
 
-        ``fp`` is the frozen tensor dict from register(); ``tokens`` the
-        full (instruction, response) pair; returns a (|r|,) tensor.
+        ``fp`` is the frozen tensor dict from register(); ``token_pairs``
+        one (instruction, response) pair per sample; ``visual_tokens`` the
+        (B, n_z, d_e) encoder output. Returns an (N,) tensor over the
+        samples' response positions in order, N = sum of |response|.
         """
-        q, r = tokens
-        prev = (q[-1],) + tuple(r[:-1])
-        z_bar = T.mean(visual_tokens, axis=0, keepdims=True)  # (1, d_e)
-        e_prev = T.gather(fp["pivot.embed"], prev)  # (|r|, d_e)
-        h = T.add(e_prev, z_bar)
-        logits = T.add(T.matmul(h, fp["pivot.W"]), fp["pivot.b"])  # (|r|, V)
+        prev, owner, picks = [], [], []
+        for b, (q, r) in enumerate(token_pairs):
+            prev += (q[-1],) + tuple(r[:-1])
+            owner += [b] * len(r)
+            picks += r
+        V = self.vocab.vocab_size
+        z_bar = T.mean(visual_tokens, axis=1)  # (B, d_e)
+        h = T.add(T.gather(fp["pivot.embed"], prev), T.gather(z_bar, owner))  # (N, d_e)
+        logits = T.add(T.matmul(h, fp["pivot.W"]), fp["pivot.b"])  # (N, V)
         logp = T.log(T.softmax(logits, axis=-1))
-        flat = T.reshape(logp, (len(r) * self.vocab.vocab_size,))
-        picked = T.gather(flat, [j * self.vocab.vocab_size + tok for j, tok in enumerate(r)])
-        return picked
+        flat = T.reshape(logp, (len(picks) * V,))
+        return T.gather(flat, [j * V + tok for j, tok in enumerate(picks)])
 
     def next_token_distributions(self, tokens, visual_tokens_plain):
         """Numpy-only next-token distributions, one row per response position."""
@@ -271,17 +285,20 @@ class LanguagePivot:
 # -- alignment loss ----------------------------------------------------------
 
 
-def sample_loss(p, fp, encoder, pivot, sample, alpha):
-    """Negative log-likelihood of the response tokens, as a tape scalar."""
-    for tok in sample.instruction_tokens + sample.response_tokens:
-        if not 0 <= tok < pivot.vocab.vocab_size:
-            raise ValueError(f"token {tok} outside vocabulary of size {pivot.vocab.vocab_size}")
-    z = encoder.encode(p, sample.image, alpha)
+def batch_loss(p, fp, encoder, pivot, batch, alpha):
+    """Mean over the samples of each sample's summed response-token
+    negative log-likelihood, as a tape scalar built in one batched graph."""
+    for sample in batch:
+        for tok in sample.instruction_tokens + sample.response_tokens:
+            if not 0 <= tok < pivot.vocab.vocab_size:
+                raise ValueError(
+                    f"token {tok} outside vocabulary of size {pivot.vocab.vocab_size}"
+                )
+    z = encoder.encode(p, np.stack([s.image for s in batch]), alpha)
     logp = pivot.response_log_probs(
-        fp, (sample.instruction_tokens, sample.response_tokens), z
+        fp, [(s.instruction_tokens, s.response_tokens) for s in batch], z
     )
-    n = len(sample.response_tokens)
-    return T.mul(T.mean(logp), -float(n))
+    return T.mul(T.mean(logp), -logp.shape[0] / len(batch))
 
 
 def alignment_loss(encoder, pivot, sample, alpha=1.0, mode=None):
@@ -293,7 +310,7 @@ def alignment_loss(encoder, pivot, sample, alpha=1.0, mode=None):
     tp = DiffTape(mode) if mode is not None else DiffTape()
     p = encoder.register(tp)
     fp = pivot.register(tp)
-    loss = sample_loss(p, fp, encoder, pivot, sample, alpha)
+    loss = batch_loss(p, fp, encoder, pivot, [sample], alpha)
     grads = tp.backward(loss)
     return float(loss.data), grads
 
@@ -389,11 +406,7 @@ def pretrain_align(config, encoder=None, mode=None):
         p = encoder.register(tp)
         fp = pivot.register(tp)
         batch = training_batch(vocab, gens, config, step)
-        total = None
-        for sample in batch:
-            loss_i = sample_loss(p, fp, encoder, pivot, sample, alpha)
-            total = loss_i if total is None else T.add(total, loss_i)
-        total = T.mul(total, 1.0 / len(batch))
+        total = batch_loss(p, fp, encoder, pivot, batch, alpha)
         loss = float(total.data)
         if not np.isfinite(loss):
             raise NonFiniteLossError(step)

@@ -31,6 +31,12 @@ class PrecisionMode:
             raise ValueError(f"mantissa_bits must be in [0, 52], got {self.mantissa_bits}")
         if self.exponent_min > self.exponent_max:
             raise ValueError("exponent_min must not exceed exponent_max")
+        # the subnormal step 2**(exponent_min - mantissa_bits) must not
+        # underflow float64 (smallest subnormal 2**-1074), or rounding divides by 0
+        if self.exponent_min - self.mantissa_bits < -1074:
+            raise ValueError(
+                "exponent_min - mantissa_bits must be >= -1074 (float64's smallest subnormal)"
+            )
 
     @property
     def is_exact(self):

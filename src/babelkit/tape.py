@@ -6,6 +6,9 @@ quantized under the tape's PrecisionMode, as are accumulated gradients, so
 reduced-precision training failures are reproducible.
 
 Tensors are immutable values; a tape is single-threaded and replayable.
+Primitive arithmetic, forward, backward and replay, runs under
+``np.errstate(all="ignore")``: overflow, inf - inf and inf * 0 are data
+here (on a tape they set ``Tensor.contaminated``), not warnings.
 """
 
 import numpy as np
@@ -125,29 +128,30 @@ class DiffTape:
             raise ShapeError("backward", output.data.shape)
 
         grads = {output.node: np.ones(())}
-        for node_id in range(output.node, -1, -1):
-            g = grads.pop(node_id, None)
-            if g is None:
-                continue
-            node = self.nodes[node_id]
-            if node.op in ("leaf", "const"):
-                node.attrs["_grad"] = g
-                continue
-            vjp = _VJPS[node.op]
-            inputs = [self.nodes[i].output for i in node.inputs]
-            contribs = vjp(g, node.output, inputs, node.attrs)
-            for in_id, contrib in zip(node.inputs, contribs):
-                if contrib is None:
+        with np.errstate(all="ignore"):
+            for node_id in range(output.node, -1, -1):
+                g = grads.pop(node_id, None)
+                if g is None:
                     continue
-                in_node = self.nodes[in_id]
-                if in_node.op == "const" or (in_node.op == "leaf" and not in_node.trainable):
-                    continue  # gradient flow stops at constants and frozen leaves
-                contrib = precision.quantize_array(contrib, self.mode)
-                prev = grads.get(in_id)
-                if prev is None:
-                    grads[in_id] = contrib
-                else:
-                    grads[in_id] = precision.quantize_array(prev + contrib, self.mode)
+                node = self.nodes[node_id]
+                if node.op in ("leaf", "const"):
+                    node.attrs["_grad"] = g
+                    continue
+                vjp = _VJPS[node.op]
+                inputs = [self.nodes[i].output for i in node.inputs]
+                contribs = vjp(g, node.output, inputs, node.attrs)
+                for in_id, contrib in zip(node.inputs, contribs):
+                    if contrib is None:
+                        continue
+                    in_node = self.nodes[in_id]
+                    if in_node.op == "const" or (in_node.op == "leaf" and not in_node.trainable):
+                        continue  # gradient flow stops at constants and frozen leaves
+                    contrib = precision.quantize_array(contrib, self.mode)
+                    prev = grads.get(in_id)
+                    if prev is None:
+                        grads[in_id] = contrib
+                    else:
+                        grads[in_id] = precision.quantize_array(prev + contrib, self.mode)
 
         result = {}
         for name, node_id in self.parameters.items():
@@ -174,7 +178,8 @@ class DiffTape:
                 values.append(node.output)
                 continue
             inputs = [values[i] for i in node.inputs]
-            raw = _FORWARDS[node.op](inputs, node.attrs)
+            with np.errstate(all="ignore"):
+                raw = _FORWARDS[node.op](inputs, node.attrs)
             out = precision.quantize_array(raw, self.mode)
             values.append(out)
             if out.tobytes() != node.output.tobytes():
@@ -210,12 +215,13 @@ def _plain(x):
 
 def _apply(op, attrs, *xs):
     tape = _tape_of(*xs)
-    if tape is None:
+    if tape is not None:
+        xs = [tape._lift(x) for x in xs]
+    with np.errstate(all="ignore"):
         raw = _FORWARDS[op]([_plain(x) for x in xs], attrs)
+    if tape is None:
         return Tensor(raw)
-    lifted = [tape._lift(x) for x in xs]
-    raw = _FORWARDS[op]([t.data for t in lifted], attrs)
-    return tape._record(op, lifted, attrs, raw)
+    return tape._record(op, xs, attrs, raw)
 
 
 def _fw_matmul(inputs, attrs):
@@ -259,8 +265,7 @@ def _fw_softmax(inputs, attrs):
 
 
 def _fw_log(inputs, attrs):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(inputs[0])
+    return np.log(inputs[0])
 
 
 def _fw_gather(inputs, attrs):

@@ -5,6 +5,7 @@ import pytest
 
 from babelkit import gradlab as G
 from babelkit import pivot as P
+from babelkit.tape import DiffTape
 
 
 def antipodal_align(seed=0):
@@ -237,6 +238,26 @@ class TestProposition1Variance:
         alternating = collect(encoder, lambda t: t % 2)
         control = collect(encoder, lambda t: 0)
         assert alternating > control
+
+
+class TestDetectionTask:
+    def test_batched_loss_matches_per_image_loop(self):
+        # reference: the per-image loss, mean over concepts of each
+        # image's mean squared error, and the mean of the image features
+        align = P.AlignConfig(concepts=("ship", "bridge", "port"), steps=0)
+        vocab, gens, _, encoder = P.build_world(align)
+        targets = G.concept_targets(vocab, seed=0)
+        task = G.build_detection_tasks(G.RunConfig(align=align), encoder, vocab, gens)[0]
+        losses, feats = [], []
+        for c in vocab.concepts:
+            x = gens[task.modality].generate_sample(vocab, c).image
+            f = encoder.encode_plain(x, task.alpha).mean(axis=0)
+            losses.append(np.mean((f @ task.head - targets[c]) ** 2))
+            feats.append(f)
+        tp = DiffTape()
+        loss, feat = task.loss_and_feature(encoder.register(tp), tp.constant(task.head), tp)
+        assert float(loss.data) == pytest.approx(np.mean(losses), rel=1e-12)
+        np.testing.assert_allclose(feat.data, np.mean(feats, axis=0, keepdims=True), rtol=1e-12)
 
 
 class TestTaskConstruction:

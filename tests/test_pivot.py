@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from babelkit import pivot as P
-from babelkit import tape as T
 from babelkit.checks import finite_diff_check
 from babelkit.tape import DiffTape
 
@@ -68,6 +67,17 @@ class TestGenerator:
             P.SyntheticModalityGenerator("m", np.zeros((4, 2)), np.zeros(4))
 
 
+class TestEncoder:
+    def test_batch_rows_match_single_images(self):
+        cfg, vocab, gens, pivot, encoder = small_world()
+        images = np.stack([s.image for s in P.training_batch(vocab, gens, cfg, step=0)])
+        tp = DiffTape()
+        z = encoder.encode(encoder.register(tp), images, 0.5)
+        assert z.shape == (len(images), cfg.token_count, cfg.embed_dim)
+        for row, x in zip(z.data, images):
+            np.testing.assert_allclose(row, encoder.encode_plain(x, 0.5), rtol=1e-12, atol=1e-15)
+
+
 class TestLanguagePivot:
     def test_distributions_normalized(self):
         cfg, vocab, gens, pivot, encoder = small_world()
@@ -93,7 +103,7 @@ class TestLanguagePivot:
         tp = DiffTape()
         p = encoder.register(tp)
         fp = pivot.register(tp)
-        loss = P.sample_loss(p, fp, encoder, pivot, s, 1.0)
+        loss = P.batch_loss(p, fp, encoder, pivot, [s], 1.0)
         grads = tp.backward(loss)
         for name in pivot.PARAM_NAMES:
             assert np.all(grads[name] == 0.0)
@@ -117,7 +127,23 @@ class TestLanguagePivot:
             p = {n: tp.parameter(encoder.params[n], n) for n in encoder.PARAM_NAMES if n != "enc.W1"}
             p["enc.W1"] = w1
             fp = pivot.register(tp)
-            return P.sample_loss(p, fp, encoder, pivot, s, 1.0)
+            return P.batch_loss(p, fp, encoder, pivot, [s], 1.0)
+
+        assert finite_diff_check(f, encoder.params["enc.W1"]) < 1e-4
+
+    def test_batch_gradient_vs_finite_differences_mid_anneal(self):
+        # full training batch at alpha = 0.5: the LVSA mix of both blocks
+        cfg, vocab, gens, pivot, encoder = small_world()
+        alpha = encoder.alpha_at(cfg.lvsa_tau // 2)
+        assert alpha == 0.5
+        batch = P.training_batch(vocab, gens, cfg, step=cfg.lvsa_tau // 2)
+
+        def f(w1):
+            tp = w1.tape
+            p = {n: tp.parameter(encoder.params[n], n) for n in encoder.PARAM_NAMES if n != "enc.W1"}
+            p["enc.W1"] = w1
+            fp = pivot.register(tp)
+            return P.batch_loss(p, fp, encoder, pivot, batch, alpha)
 
         assert finite_diff_check(f, encoder.params["enc.W1"]) < 1e-4
 
@@ -134,8 +160,8 @@ class TestLanguagePivot:
         tp = DiffTape()
         p = encoder.register(tp)
         fp = pivot.register(tp)
-        z = encoder.encode(p, s.image, 1.0)
-        logp = pivot.response_log_probs(fp, (s.instruction_tokens, s.response_tokens), z)
+        z = encoder.encode(p, s.image[None, :], 1.0)
+        logp = pivot.response_log_probs(fp, [(s.instruction_tokens, s.response_tokens)], z)
         assert logp.shape == (len(s.response_tokens),)
 
     def test_perturbing_instruction_changes_loss(self):
@@ -155,13 +181,21 @@ class TestLanguagePivot:
         tp = DiffTape()
         p = encoder.register(tp)
         fp = pivot.register(tp)
-        total = None
-        singles = []
-        for s in batch:
-            li = P.sample_loss(p, fp, encoder, pivot, s, 1.0)
-            singles.append(float(li.data))
-            total = li if total is None else T.add(total, li)
-        assert float(total.data) == pytest.approx(sum(singles), rel=1e-12)
+        total = P.batch_loss(p, fp, encoder, pivot, batch, 1.0)
+        singles = [P.alignment_loss(encoder, pivot, s)[0] for s in batch]
+        assert float(total.data) == pytest.approx(np.mean(singles), rel=1e-12)
+
+    def test_step_node_count_independent_of_batch_size(self):
+        cfg, vocab, gens, pivot, encoder = small_world(
+            concepts=("a", "b", "c"), modalities=("sar", "optical", "ir")
+        )
+        batch = P.training_batch(vocab, gens, cfg, step=0)
+        counts = set()
+        for size in (1, 2, 4, len(batch)):
+            tp = DiffTape()
+            P.batch_loss(encoder.register(tp), pivot.register(tp), encoder, pivot, batch[:size], 0.5)
+            counts.add(len(tp.nodes))
+        assert len(batch) == 9 and len(counts) == 1
 
 
 class TestPretrain:

@@ -35,6 +35,15 @@ class TestModeValidation:
         with pytest.raises(ValueError):
             PrecisionMode(mantissa_bits=10, exponent_min=5, exponent_max=4)
 
+    def test_subnormal_step_must_not_underflow(self):
+        # a grid step of 2**(exponent_min - mantissa_bits) below 2**-1074 is
+        # 0.0 in float64, which turned every tiny value into NaN
+        with pytest.raises(ValueError, match="-1074"):
+            PrecisionMode(10, -1070, 15)
+        edge = PrecisionMode(4, -1070, 15)  # step exactly 2**-1074
+        assert quantize_scalar(2e-323, edge) == 4 * 2.0**-1074
+        assert EXACT.exponent_min - EXACT.mantissa_bits == -1074
+
     def test_exact_flag(self):
         assert EXACT.is_exact
         assert not FP16.is_exact

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,11 @@ class TestFiniteDifferenceAllPrimitives:
         ("add", lambda x: T.mean(T.add(x, 1.5)), (4,)),
         ("mul", lambda x: T.mean(T.mul(x, x)), (4,)),
         ("mean_axis", lambda x: T.mean(T.mean(x, axis=1, keepdims=True)), (3, 2)),
+        (
+            "mean_axis1_3d",
+            lambda x: T.mean(T.mul(T.mean(x, axis=1), np.arange(8.0).reshape(2, 4))),
+            (2, 3, 4),
+        ),
         ("relu", lambda x: T.mean(T.relu(x)), (5,)),
         ("softmax", lambda x: T.mean(T.mul(T.softmax(x), np.arange(4.0))), (4,)),
         ("log", lambda x: T.mean(T.log(x)), (4,)),
@@ -154,6 +160,18 @@ class TestReplayAndPrecision:
         assert out.item() == math.inf
         assert out.contaminated
         assert not x.contaminated
+
+    def test_nonfinite_arithmetic_raises_no_warning(self):
+        # inf * 0 inside an fp16 matmul is data: NaN out, contaminated, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tp = DiffTape(FP16)
+            big = T.mul(tp.parameter([[60000.0, 1.0]], "x"), 2.0)  # [[inf, 2]]
+            out = T.matmul(big, np.array([[0.0], [1.0]]))
+            grads = tp.backward(T.mean(T.mul(out, out)))
+            assert tp.replay()
+        assert np.isnan(out.data[0, 0]) and out.contaminated
+        assert np.all(np.isnan(grads["x"]))
 
     def test_duplicate_parameter_name_rejected(self):
         tp = DiffTape()
