@@ -353,13 +353,20 @@ def evaluate(dets, gts, registry, thresholds=DEFAULT_THRESHOLDS, ap_mode="all-po
     for g in gts:
         by_cat_g[g.category].append(g)
 
+    thresholds = tuple(thresholds)
+    if not thresholds:
+        raise ValueError("threshold list must be non-empty")
+    # ap50 comes from the same sort and match pass as the grid
+    scored = thresholds if 0.5 in thresholds else thresholds + (0.5,)
     per_category_ap = {}
     for cat in sorted(registry.categories):
-        per, mean_ap = map_over_thresholds(by_cat_d[cat], by_cat_g[cat], thresholds, ap_mode)
-        ap50 = per[0.5] if 0.5 in per else average_precision(
-            by_cat_d[cat], by_cat_g[cat], 0.5, ap_mode
-        )
-        per_category_ap[cat] = {"per_threshold": per, "mean": mean_ap, "ap50": ap50}
+        aps = _category_aps(by_cat_d[cat], by_cat_g[cat], scored, ap_mode)
+        per = {t: aps[t] for t in thresholds}
+        per_category_ap[cat] = {
+            "per_threshold": per,
+            "mean": sum(per.values()) / len(per),
+            "ap50": aps[0.5],
+        }
 
     mean_aps = {c: d["mean"] for c, d in per_category_ap.items()}
     per_mod = modality_map(mean_aps, registry)
@@ -368,5 +375,5 @@ def evaluate(dets, gts, registry, thresholds=DEFAULT_THRESHOLDS, ap_mode="all-po
         per_modality_map=per_mod,
         global_map=global_union_map(mean_aps),
         hmap=harmonic_modality_map(per_mod.values()),
-        thresholds=tuple(thresholds),
+        thresholds=thresholds,
     )

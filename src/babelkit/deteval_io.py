@@ -22,16 +22,22 @@ class RecordError(ValueError):
         self.line_no = line_no
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _parse_box(obj, path, line_no):
     bbox = obj.get("bbox")
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise RecordError(path, line_no, "field 'bbox' must be [xmin, ymin, xmax, ymax]")
+    # JSON booleans are ints to Python and float() takes numeric strings
+    if not _NUMBER_TYPES.issuperset(map(type, bbox)):
+        raise RecordError(path, line_no, f"field 'bbox': coordinates must be numbers, got {bbox}")
     try:
         xmin, ymin, xmax, ymax = map(float, bbox)
         if not (isfinite(xmin) and isfinite(ymin) and isfinite(xmax) and isfinite(ymax)):
             raise ValueError(f"coordinates must be finite, got {bbox}")
         return Box(xmin, ymin, xmax, ymax)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise RecordError(path, line_no, f"field 'bbox': {exc}") from None
 
 
@@ -61,19 +67,15 @@ def load_detections(path):
     for line_no, obj in _iter_records(path):
         box = _parse_box(obj, path, line_no)
         score = obj.get("score")
-        if not isinstance(score, (int, float)):
+        if type(score) not in _NUMBER_TYPES:
             raise RecordError(path, line_no, "field 'score' must be a number")
+        image_id = _require_str(obj, "image_id", path, line_no)
+        category = _require_str(obj, "category", path, line_no)
         try:
-            out.append(
-                Detection(
-                    image_id=_require_str(obj, "image_id", path, line_no),
-                    category=_require_str(obj, "category", path, line_no),
-                    box=box,
-                    score=float(score),
-                )
-            )
-        except ValueError as exc:
+            det = Detection(image_id=image_id, category=category, box=box, score=float(score))
+        except (ValueError, OverflowError) as exc:
             raise RecordError(path, line_no, f"field 'score': {exc}") from None
+        out.append(det)
     return out
 
 

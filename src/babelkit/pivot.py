@@ -12,6 +12,12 @@ encoder maps an image batch (B, d_x) to visual tokens (B, n_z, d_e), and
 ``batch_loss`` scores every response position of every sample with one
 decoder matmul, one softmax and one gather.
 
+Inference is the training forward, run without a tape: given plain arrays
+(``encoder.params``, ``pivot.arrays()``) the same ``encode`` and
+``next_token_probs`` return tape-free tensors, with nothing recorded or
+quantized. ``consistency_report`` scores every probe image that way in one
+batched pass.
+
 The pivot is calibrated once on token-only sequences so that concept token
 chains are already predictable from the previous token; the visual context
 is what disambiguates which chain to start.
@@ -118,10 +124,6 @@ class SyntheticModalityGenerator:
         )
 
 
-def generate_sample(gen, vocab, concept, rng_seed=0):
-    return gen.generate_sample(vocab, concept, rng_seed)
-
-
 # -- encoder -----------------------------------------------------------------
 
 
@@ -164,9 +166,9 @@ class SharedEncoder:
     def encode(self, p, X, alpha):
         """Visual tokens (B, token_count, embed_dim) for an image batch.
 
-        ``p`` is the tensor dict from register(); ``X`` a (B, image_dim)
-        array. The blocks and the LVSA fusion run on the 2-D
-        (B * token_count, embed_dim) token rows.
+        ``p`` is the tensor dict from register(), or ``self.params`` for a
+        tape-free forward; ``X`` a (B, image_dim) array. The blocks and the
+        LVSA fusion run on the 2-D (B * token_count, embed_dim) token rows.
         """
         cfg = self.config
         xw = T.matmul(X, p["enc.W0"])  # (B, token_count * embed_dim)
@@ -183,13 +185,6 @@ class SharedEncoder:
         if not self.config.lvsa_enabled:
             return 1.0
         return anneal_alpha(self.schedule, t_step)
-
-    def encode_plain(self, x, alpha):
-        """Tape-free (token_count, embed_dim) encoding of one image vector
-        (inference only)."""
-        tp = DiffTape()
-        p = {name: tp.constant(self.params[name]) for name in self.PARAM_NAMES}
-        return self.encode(p, np.reshape(x, (1, -1)), alpha).data[0]
 
     def copy(self):
         clone = SharedEncoder.__new__(SharedEncoder)
@@ -240,46 +235,45 @@ class LanguagePivot:
         self.W, *_ = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)
         self.b = np.zeros(V)
 
+    def arrays(self):
+        """The frozen parameters as plain arrays, for a tape-free forward."""
+        return {"pivot.embed": self.embed, "pivot.W": self.W, "pivot.b": self.b}
+
     def register(self, tp):
         """Register the frozen parameters on a tape (trainable=False, so
         backward reports exactly-zero gradients for them)."""
         return {
-            "pivot.embed": tp.parameter(self.embed, "pivot.embed", trainable=False),
-            "pivot.W": tp.parameter(self.W, "pivot.W", trainable=False),
-            "pivot.b": tp.parameter(self.b, "pivot.b", trainable=False),
+            name: tp.parameter(value, name, trainable=False)
+            for name, value in self.arrays().items()
         }
 
-    def response_log_probs(self, fp, token_pairs, visual_tokens):
-        """Log-probability tensor of each response token (teacher forced).
+    def next_token_probs(self, fp, token_pairs, visual_tokens):
+        """(N, V) next-token distributions at the response positions
+        (teacher forced).
 
-        ``fp`` is the frozen tensor dict from register(); ``token_pairs``
-        one (instruction, response) pair per sample; ``visual_tokens`` the
-        (B, n_z, d_e) encoder output. Returns an (N,) tensor over the
-        samples' response positions in order, N = sum of |response|.
+        ``fp`` is the frozen tensor dict from register(), or arrays() for a
+        tape-free forward; ``token_pairs`` one (instruction, response) pair
+        per sample; ``visual_tokens`` the (B, n_z, d_e) encoder output. Rows
+        follow the samples' response positions in order, N = sum of
+        |response|.
         """
-        prev, owner, picks = [], [], []
+        prev, owner = [], []
         for b, (q, r) in enumerate(token_pairs):
             prev += (q[-1],) + tuple(r[:-1])
             owner += [b] * len(r)
-            picks += r
-        V = self.vocab.vocab_size
         z_bar = T.mean(visual_tokens, axis=1)  # (B, d_e)
         h = T.add(T.gather(fp["pivot.embed"], prev), T.gather(z_bar, owner))  # (N, d_e)
         logits = T.add(T.matmul(h, fp["pivot.W"]), fp["pivot.b"])  # (N, V)
-        logp = T.log(T.softmax(logits, axis=-1))
+        return T.softmax(logits, axis=-1)
+
+    def response_log_probs(self, fp, token_pairs, visual_tokens):
+        """(N,) log-probability tensor of each response token: the log of
+        next_token_probs() at the token that follows."""
+        picks = [tok for _, r in token_pairs for tok in r]
+        V = self.vocab.vocab_size
+        logp = T.log(self.next_token_probs(fp, token_pairs, visual_tokens))
         flat = T.reshape(logp, (len(picks) * V,))
         return T.gather(flat, [j * V + tok for j, tok in enumerate(picks)])
-
-    def next_token_distributions(self, tokens, visual_tokens_plain):
-        """Numpy-only next-token distributions, one row per response position."""
-        q, r = tokens
-        prev = (q[-1],) + tuple(r[:-1])
-        z_bar = np.mean(visual_tokens_plain, axis=0, keepdims=True)
-        h = self.embed[list(prev)] + z_bar
-        logits = h @ self.W + self.b
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
 
 
 # -- alignment loss ----------------------------------------------------------
@@ -301,13 +295,13 @@ def batch_loss(p, fp, encoder, pivot, batch, alpha):
     return T.mul(T.mean(logp), -logp.shape[0] / len(batch))
 
 
-def alignment_loss(encoder, pivot, sample, alpha=1.0, mode=None):
+def alignment_loss(encoder, pivot, sample, alpha=1.0):
     """Loss value plus gradients for a single sample.
 
     Returns (loss, grads) where grads maps encoder parameter names to
     arrays; pivot gradients are exactly zero by construction.
     """
-    tp = DiffTape(mode) if mode is not None else DiffTape()
+    tp = DiffTape()
     p = encoder.register(tp)
     fp = pivot.register(tp)
     loss = batch_loss(p, fp, encoder, pivot, [sample], alpha)
@@ -388,7 +382,7 @@ def training_batch(vocab, gens, config, step):
     return batch
 
 
-def pretrain_align(config, encoder=None, mode=None):
+def pretrain_align(config, encoder=None):
     """Plain full-batch gradient descent on the alignment loss.
 
     Returns (encoder, trace) where trace is a list of (step, loss, alpha)
@@ -402,7 +396,7 @@ def pretrain_align(config, encoder=None, mode=None):
     trace = []
     for step in range(config.steps):
         alpha = encoder.alpha_at(step)
-        tp = DiffTape(mode) if mode is not None else DiffTape()
+        tp = DiffTape()
         p = encoder.register(tp)
         fp = pivot.register(tp)
         batch = training_batch(vocab, gens, config, step)
@@ -428,39 +422,30 @@ def _sym_kl(p, q, eps=1e-12):
     return float(np.sum(p * np.log(p / q)) + np.sum(q * np.log(q / p)))
 
 
-def cross_modal_consistency(encoder, pivot, vocab, concept, gens, modality_pair,
-                            alpha=1.0):
-    """Mean symmetric KL between next-response-token distributions
-    conditioned on the two modalities' encodings of the same concept
-    (noiseless probe images)."""
-    m_i, m_j = modality_pair
-    for m in (m_i, m_j):
-        if m not in gens:
-            raise KeyError(f"modality {m!r} not registered")
-    dists = []
-    for m in (m_i, m_j):
-        gen = gens[m]
-        probe = SyntheticModalityGenerator(gen.modality, gen.mixing, gen.offset, 0.0)
-        sample = probe.generate_sample(vocab, concept)
-        z = encoder.encode_plain(sample.image, alpha)
-        dists.append(
-            pivot.next_token_distributions(
-                (sample.instruction_tokens, sample.response_tokens), z
-            )
-        )
-    di, dj = dists
-    return float(np.mean([_sym_kl(di[k], dj[k]) for k in range(di.shape[0])]))
-
-
 def consistency_report(encoder, pivot, vocab, gens, alpha=1.0):
-    """Per-concept mean consistency over all modality pairs."""
+    """Per-concept consistency: the mean, over all modality pairs, of the
+    mean symmetric KL between the next-response-token distributions that
+    the two modalities' noiseless probe images of the concept give.
+
+    Every (modality, concept) probe is encoded and decoded in one
+    tape-free pass of the training forward.
+    """
     mods = sorted(gens)
+    probes = [(m, c) for m in mods for c in vocab.concepts]
+    X = np.stack([gens[m].mixing @ vocab.latents[c] + gens[m].offset for m, c in probes])
+    z = encoder.encode(encoder.params, X, alpha)
+    responses = [vocab.token_seqs[c] for _, c in probes]
+    probs = pivot.next_token_probs(
+        pivot.arrays(), [(vocab.prompt_tokens, r) for r in responses], z
+    ).data
+    ends = np.cumsum([len(r) for r in responses])
+    dists = dict(zip(probes, np.split(probs, ends[:-1])))
     pairs = [(a, b) for i, a in enumerate(mods) for b in mods[i + 1:]]
     out = {}
     for c in vocab.concepts:
         vals = [
-            cross_modal_consistency(encoder, pivot, vocab, c, gens, pair, alpha)
-            for pair in pairs
+            float(np.mean([_sym_kl(p, q) for p, q in zip(dists[a, c], dists[b, c])]))
+            for a, b in pairs
         ]
         out[c] = float(np.mean(vals))
     return out

@@ -130,13 +130,13 @@ class DiffTape:
         grads = {output.node: np.ones(())}
         with np.errstate(all="ignore"):
             for node_id in range(output.node, -1, -1):
-                g = grads.pop(node_id, None)
+                g = grads.get(node_id)
                 if g is None:
                     continue
                 node = self.nodes[node_id]
                 if node.op in ("leaf", "const"):
-                    node.attrs["_grad"] = g
-                    continue
+                    continue  # a leaf's gradient stays in grads for the result
+                del grads[node_id]
                 vjp = _VJPS[node.op]
                 inputs = [self.nodes[i].output for i in node.inputs]
                 contribs = vjp(g, node.output, inputs, node.attrs)
@@ -156,14 +156,11 @@ class DiffTape:
         result = {}
         for name, node_id in self.parameters.items():
             node = self.nodes[node_id]
-            g = node.attrs.pop("_grad", None)
+            g = grads.get(node_id)
             if g is None or not node.trainable:
                 result[name] = np.zeros_like(node.output, dtype=np.float64)
             else:
                 result[name] = np.array(g, dtype=np.float64).reshape(node.output.shape)
-        # drop any stashed grads on anonymous leaves
-        for node in self.nodes:
-            node.attrs.pop("_grad", None)
         return result
 
     # -- replay ------------------------------------------------------------

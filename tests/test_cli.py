@@ -89,6 +89,20 @@ class TestEval:
         assert "d.jsonl:1: field 'bbox': coordinates must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("score", True), ("bbox", [False, 0, True, 1]), ("bbox", ["0", "0", "1", "1"]),
+    ])
+    def test_non_number_field_exit_2(self, fixture_dir, capsys, field, value):
+        # scored, the boolean score would be 1.0 and the boxes [0, 0, 1, 1]
+        tmp_path, reg, gt, _, _ = fixture_dir
+        rec = {"image_id": "img", "category": "ship", "bbox": [0, 0, 5, 5], "score": 0.9}
+        det = write_jsonl(tmp_path / "d.jsonl", [rec, {**rec, field: value}])
+        out = tmp_path / "out_bool"
+        argv = ["eval", "--gt", gt, "--det", det, "--registry", reg, "--out", str(out)]
+        assert run(argv) == 2
+        assert f"d.jsonl:2: field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_error_exit_2(self, fixture_dir, capsys):
         tmp_path, reg, gt, _, _ = fixture_dir
         bad = tmp_path / "bad.jsonl"

@@ -532,10 +532,13 @@ class TestEvaluate:
                             counted("sort", deteval.sort_detections))
         monkeypatch.setattr(deteval, "match_detections",
                             counted("match", deteval.match_detections))
-        evaluate(dets, gts, reg)
         scored = [c for c in reg.categories
                   if any(d.category == c for d in dets) and any(g.category == c for g in gts)]
-        assert calls == {"sort": len(scored), "match": len(scored) * len(DEFAULT_THRESHOLDS)}
+        # a grid without 0.5 matches once more per category, for ap50
+        for grid, matches in ((DEFAULT_THRESHOLDS, len(DEFAULT_THRESHOLDS)), ((0.6, 0.75), 3)):
+            calls.update(sort=0, match=0)
+            evaluate(dets, gts, reg, thresholds=grid)
+            assert calls == {"sort": len(scored), "match": len(scored) * matches}
 
     def test_unregistered_category_rejected(self):
         reg = self._registry()

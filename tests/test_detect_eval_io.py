@@ -10,6 +10,10 @@ from babelkit.deteval_io import (
 )
 
 
+# JSON booleans and numeric strings are not coordinates
+NON_NUMBER_BOXES = [[False, 0, True, 1], ["0", "0", "1", "1"], [0, 0, 1, None]]
+
+
 def write(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
@@ -52,9 +56,34 @@ class TestLoadDetections:
             load_detections(p)
 
     def test_missing_field(self, tmp_path):
-        bad = {"category": "c", "bbox": [0, 0, 1, 1], "score": 0.5}
+        good = {"image_id": "a", "category": "c", "bbox": [0, 0, 1, 1], "score": 0.5}
+        for key in ("image_id", "category"):
+            bad = {k: v for k, v in good.items() if k != key}
+            p = write(tmp_path / "det.jsonl", [json.dumps(good), json.dumps(bad)])
+            with pytest.raises(RecordError) as exc:
+                load_detections(p)
+            assert str(exc.value) == f"{p}:2: field {key!r} must be a non-empty string"
+
+    @pytest.mark.parametrize("score", [True, False, "0.5"])
+    def test_non_number_score_rejected(self, tmp_path, score):
+        bad = {"image_id": "a", "category": "c", "bbox": [0, 0, 1, 1], "score": score}
         p = write(tmp_path / "d.jsonl", [json.dumps(bad)])
-        with pytest.raises(RecordError, match="image_id"):
+        with pytest.raises(RecordError) as exc:
+            load_detections(p)
+        assert str(exc.value) == f"{p}:1: field 'score' must be a number"
+
+    def test_huge_integer_score_rejected(self, tmp_path):
+        p = write(tmp_path / "d.jsonl", [
+            '{"image_id": "a", "category": "c", "bbox": [0, 0, 1, 1], "score": 1%s}' % ("0" * 400)
+        ])
+        with pytest.raises(RecordError, match=":1: field 'score'"):
+            load_detections(p)
+
+    @pytest.mark.parametrize("bbox", NON_NUMBER_BOXES)
+    def test_non_number_box_rejected(self, tmp_path, bbox):
+        bad = {"image_id": "a", "category": "c", "bbox": bbox, "score": 0.5}
+        p = write(tmp_path / "d.jsonl", [json.dumps(bad)])
+        with pytest.raises(RecordError, match=":1: field 'bbox': coordinates must be numbers"):
             load_detections(p)
 
 
@@ -64,6 +93,21 @@ class TestLoadGroundTruth:
         p = write(tmp_path / "g.jsonl", [json.dumps(rec)])
         (g,) = load_ground_truth(p)
         assert (g.box.xmin, g.box.ymin, g.box.xmax, g.box.ymax) == (1, 2, 3, 4)
+
+    @pytest.mark.parametrize("bbox", NON_NUMBER_BOXES)
+    def test_non_number_box_rejected(self, tmp_path, bbox):
+        good = {"image_id": "a", "category": "c", "bbox": [0, 0, 1, 1]}
+        bad = {"image_id": "a", "category": "c", "bbox": bbox}
+        p = write(tmp_path / "g.jsonl", [json.dumps(good), json.dumps(bad)])
+        with pytest.raises(RecordError, match=":2: field 'bbox': coordinates must be numbers"):
+            load_ground_truth(p)
+
+    def test_huge_integer_coordinate_rejected(self, tmp_path):
+        p = write(tmp_path / "g.jsonl", [
+            '{"image_id": "a", "category": "c", "bbox": [0, 0, 1, 1%s]}' % ("0" * 400)
+        ])
+        with pytest.raises(RecordError, match=":1: field 'bbox'"):
+            load_ground_truth(p)
 
 
 class TestLoadRegistry:

@@ -251,7 +251,7 @@ class TestDetectionTask:
         losses, feats = [], []
         for c in vocab.concepts:
             x = gens[task.modality].generate_sample(vocab, c).image
-            f = encoder.encode_plain(x, task.alpha).mean(axis=0)
+            f = encoder.encode(encoder.params, x[None, :], task.alpha).data[0].mean(axis=0)
             losses.append(np.mean((f @ task.head - targets[c]) ** 2))
             feats.append(f)
         tp = DiffTape()

@@ -13,6 +13,21 @@ def small_world(seed=0, concepts=("ship", "bridge"), **overrides):
     return cfg, *P.build_world(cfg)
 
 
+def encode_one(encoder, x, alpha):
+    """Tape-free (token_count, embed_dim) encoding of one image."""
+    return encoder.encode(encoder.params, x[None, :], alpha).data[0]
+
+
+def reference_next_token_probs(pivot, tokens, z):
+    """Numpy decoder: softmax((embed[prev] + mean visual token) @ W + b),
+    one row per response position of one sample."""
+    q, r = tokens
+    prev = (q[-1],) + tuple(r[:-1])
+    logits = (pivot.embed[list(prev)] + z.mean(axis=0)) @ pivot.W + pivot.b
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 class TestVocabulary:
     def test_distinct_token_sequences(self):
         vocab = P.ConceptVocabulary.build(["a", "b", "c"], latent_dim=4)
@@ -75,16 +90,20 @@ class TestEncoder:
         z = encoder.encode(encoder.register(tp), images, 0.5)
         assert z.shape == (len(images), cfg.token_count, cfg.embed_dim)
         for row, x in zip(z.data, images):
-            np.testing.assert_allclose(row, encoder.encode_plain(x, 0.5), rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(row, encode_one(encoder, x, 0.5), rtol=1e-12, atol=1e-15)
 
 
 class TestLanguagePivot:
     def test_distributions_normalized(self):
         cfg, vocab, gens, pivot, encoder = small_world()
-        s = gens["sar"].generate_sample(vocab, "ship")
-        z = encoder.encode_plain(s.image, 1.0)
-        dists = pivot.next_token_distributions((s.instruction_tokens, s.response_tokens), z)
-        np.testing.assert_allclose(dists.sum(axis=-1), 1.0, atol=1e-9)
+        batch = P.training_batch(vocab, gens, cfg, step=0)
+        z = encoder.encode(encoder.params, np.stack([s.image for s in batch]), 1.0)
+        probs = pivot.next_token_probs(
+            pivot.arrays(), [(s.instruction_tokens, s.response_tokens) for s in batch], z
+        )
+        assert probs.tape is None
+        assert probs.shape == (sum(len(s.response_tokens) for s in batch), vocab.vocab_size)
+        np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_uniform_pivot_loss(self):
         # 3 concepts, 2 tokens each, 2 prompt tokens -> V=8; forcing the
@@ -113,8 +132,8 @@ class TestLanguagePivot:
         cfg, vocab, gens, pivot, encoder = small_world()
         s = gens["sar"].generate_sample(vocab, "ship")
         loss, _ = P.alignment_loss(encoder, pivot, s)
-        z = encoder.encode_plain(s.image, 1.0)
-        dists = pivot.next_token_distributions((s.instruction_tokens, s.response_tokens), z)
+        z = encode_one(encoder, s.image, 1.0)
+        dists = reference_next_token_probs(pivot, (s.instruction_tokens, s.response_tokens), z)
         hand = -sum(math.log(dists[j, tok]) for j, tok in enumerate(s.response_tokens))
         assert loss == pytest.approx(hand, abs=1e-10)
 
@@ -245,23 +264,40 @@ class TestConsistency:
         cfg, vocab, gens, pivot, encoder = small_world()
         g = gens["sar"]
         twin = {"a": g, "b": P.SyntheticModalityGenerator(g.modality, g.mixing, g.offset)}
-        v = P.cross_modal_consistency(encoder, pivot, vocab, "ship", twin, ("a", "b"))
-        assert v == pytest.approx(0.0, abs=1e-12)
+        report = P.consistency_report(encoder, pivot, vocab, twin)
+        for c in vocab.concepts:
+            assert report[c] == pytest.approx(0.0, abs=1e-12)
 
     def test_untrained_positive(self):
         cfg, vocab, gens, pivot, encoder = small_world()
-        v = P.cross_modal_consistency(
-            encoder, pivot, vocab, "ship", gens, ("sar", "optical")
-        )
-        assert v > 0
-
-    def test_unknown_modality(self):
-        cfg, vocab, gens, pivot, encoder = small_world()
-        with pytest.raises(KeyError):
-            P.cross_modal_consistency(encoder, pivot, vocab, "ship", gens, ("sar", "radar"))
+        assert sorted(gens) == ["optical", "sar"]
+        report = P.consistency_report(encoder, pivot, vocab, gens)
+        assert report["ship"] > 0
 
     def test_report_covers_all_concepts(self):
         cfg, vocab, gens, pivot, encoder = small_world()
         report = P.consistency_report(encoder, pivot, vocab, gens)
         assert set(report) == set(vocab.concepts)
         assert all(v >= 0 for v in report.values())
+
+    def test_report_matches_per_pair_reference(self):
+        # reference: each probe encoded alone, then the mean over modality
+        # pairs of the mean symmetric KL over response positions
+        cfg, vocab, gens, pivot, encoder = small_world(
+            concepts=("a", "b", "c"), modalities=("sar", "optical", "ir")
+        )
+        alpha = 0.5
+        report = P.consistency_report(encoder, pivot, vocab, gens, alpha)
+        mods = sorted(gens)
+        for c in vocab.concepts:
+            tokens = (vocab.prompt_tokens, vocab.token_seqs[c])
+            dists = {}
+            for m in mods:
+                x = gens[m].mixing @ vocab.latents[c] + gens[m].offset
+                dists[m] = reference_next_token_probs(pivot, tokens, encode_one(encoder, x, alpha))
+            per_pair = [
+                np.mean([P._sym_kl(p, q) for p, q in zip(dists[a], dists[b])])
+                for i, a in enumerate(mods) for b in mods[i + 1:]
+            ]
+            assert len(per_pair) == 3
+            assert report[c] == pytest.approx(np.mean(per_pair), rel=1e-12)
