@@ -8,13 +8,14 @@ so runs are reproducible byte-for-byte from the manifest alone.
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -229,7 +230,7 @@ def cmd_gradlab(args):
     )
     outputs.append(sweep_path)
 
-    lam0 = gradlab.RunConfig(**{**base.__dict__, "lam": 0.0})
+    lam0 = replace(base, lam=0.0)
     runs = {
         "late": (gradlab.run_late_alignment, base),
         "late_lam0": (gradlab.run_late_alignment, lam0),
@@ -298,18 +299,19 @@ def cmd_sample(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     seed = args.seed if args.seed is not None else recipe.seed
-    draws = S.draw_epoch(recipe, seed)
+    dataset, index = S.draw_epoch(recipe, seed)
+    names = np.array([e.name for e in recipe.entries], dtype=object)
     _write_csv(
         args.out,
-        [("position", "dataset", "index")]
-        + [(i, name, idx) for i, (name, idx) in enumerate(draws)],
+        itertools.chain(
+            [("position", "dataset", "index")],
+            zip(range(index.size), names[dataset], index),
+        ),
     )
-    counts = {e.name: 0 for e in recipe.entries}
-    for name, _ in draws:
-        counts[name] += 1
+    counts = np.bincount(dataset, minlength=len(recipe.entries))
     expected = S.expected_counts(recipe)
-    for e in recipe.entries:
-        print(f"{e.name}: expected={expected[e.name]:.1f} drawn={counts[e.name]}")
+    for e, drawn in zip(recipe.entries, counts):
+        print(f"{e.name}: expected={expected[e.name]:.1f} drawn={drawn}")
     manifest = RunManifest(
         command="sample",
         config={"recipe": recipe_path},

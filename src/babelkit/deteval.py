@@ -257,15 +257,6 @@ def average_precision(dets, gts, iou_threshold, ap_mode="all-points"):
     return _category_aps(dets, gts, (iou_threshold,), ap_mode)[iou_threshold]
 
 
-def map_over_thresholds(dets, gts, thresholds=DEFAULT_THRESHOLDS, ap_mode="all-points"):
-    """Per-threshold AP and its mean over the threshold grid."""
-    thresholds = tuple(thresholds)
-    if not thresholds:
-        raise ValueError("threshold list must be non-empty")
-    per = _category_aps(dets, gts, thresholds, ap_mode)
-    return per, sum(per.values()) / len(per)
-
-
 def modality_map(ap_by_category, registry):
     """Arithmetic mean of category APs within each modality."""
     sums = {m: [0.0, 0] for m in registry.modalities}

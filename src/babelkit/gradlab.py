@@ -12,7 +12,7 @@ detection only.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -210,22 +210,22 @@ class HessianSpec:
         return self.h_det.shape[0]
 
 
-def condition_number(spec, lam):
-    """kappa(H_det + lam * H_align): dense eigendecomposition for dim <= 8,
-    cross-checked against power iteration; power iteration alone above."""
+def _extremes(spec, lam):
+    """(lambda_max, lambda_min) of H_det + lam * H_align: one dense
+    eigensolve for dim <= 8, power iteration above."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     h = spec.h_det + lam * spec.h_align
-    lo_pi, hi_pi = None, None
     if spec.dim > 8:
-        hi_pi, lo_pi = power_iteration_extremes(lambda v: h @ v, spec.dim, iters=200000, tol=1e-12)
-        return hi_pi / lo_pi
+        return power_iteration_extremes(lambda v: h @ v, spec.dim, iters=200000, tol=1e-12)
     eigs = np.linalg.eigvalsh(h)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    assert lo > 0, "SPD sum has non-positive eigenvalue"
-    hi_pi, lo_pi = power_iteration_extremes(lambda v: h @ v, spec.dim, iters=200000, tol=1e-12)
-    if abs(hi_pi / lo_pi - hi / lo) > 1e-6 * (hi / lo):
-        raise AssertionError("power iteration disagrees with dense eigensolver")
+    assert eigs[0] > 0, "SPD sum has non-positive eigenvalue"
+    return float(eigs[-1]), float(eigs[0])
+
+
+def condition_number(spec, lam):
+    """kappa(H_det + lam * H_align) = lambda_max / lambda_min."""
+    hi, lo = _extremes(spec, lam)
     return hi / lo
 
 
@@ -233,9 +233,8 @@ def conditioning_sweep(spec, lambdas):
     """Rows (lambda, kappa, lambda_max, lambda_min) over a lambda grid."""
     rows = []
     for lam in lambdas:
-        h = spec.h_det + lam * spec.h_align
-        eigs = np.linalg.eigvalsh(h)
-        rows.append((float(lam), condition_number(spec, lam), float(eigs[-1]), float(eigs[0])))
+        hi, lo = _extremes(spec, lam)
+        rows.append((float(lam), hi / lo, hi, lo))
     return rows
 
 
@@ -387,8 +386,7 @@ def run_two_stage(config):
     fine-tuning under the configured precision."""
     mode = resolve_precision(config.precision)
     vocab, gens, _, _ = P.build_world(config.align)
-    pre_cfg = P.AlignConfig(**{**config.align.__dict__, "steps": config.pretrain_steps})
-    encoder, _ = P.pretrain_align(pre_cfg)
+    encoder, _ = P.pretrain_align(replace(config.align, steps=config.pretrain_steps))
     tasks = build_detection_tasks(config, encoder, vocab, gens)
     return _finetune(encoder, tasks, config.steps, config.lr, mode, 0.0)
 
@@ -405,24 +403,18 @@ def check_prop3_inputs(config, seeds):
 
 def proposition3_experiment(config, seeds):
     """Mean pairwise detection-gradient cosine at random init vs after
-    language-pivoted pretraining, per seed and averaged."""
+    language-pivoted pretraining (config.pretrain_steps steps at learning
+    rate config.lr), per seed and averaged."""
     check_prop3_inputs(config, seeds)
     per_seed = []
     for seed in seeds:
-        align = P.AlignConfig(**{**config.align.__dict__, "seed": int(seed)})
-        cfg = RunConfig(
-            align=align,
-            steps=config.steps,
-            lr=config.lr,
-            precision="exact",
-            pretrain_steps=config.pretrain_steps,
-            target_scale=config.target_scale,
-        )
+        align = replace(config.align, seed=int(seed))
+        cfg = replace(config, align=align)
         vocab, gens, _, encoder = P.build_world(align)
         tasks = build_detection_tasks(cfg, encoder, vocab, gens)
         pre = per_modality_gradients(encoder, tasks).mean_cosine()
         trained, _ = P.pretrain_align(
-            P.AlignConfig(**{**align.__dict__, "steps": config.pretrain_steps})
+            replace(align, steps=config.pretrain_steps, lr=config.lr)
         )
         tasks_post = build_detection_tasks(cfg, trained, vocab, gens)
         post = per_modality_gradients(trained, tasks_post).mean_cosine()
@@ -444,7 +436,7 @@ def amp_stress(configs, precisions, trace_dir=None):
     rows = []
     for name, (runner, cfg) in configs.items():
         for prec in precisions:
-            run_cfg = RunConfig(**{**cfg.__dict__, "precision": prec})
+            run_cfg = replace(cfg, precision=prec)
             trace = runner(run_cfg)
             finite_norms = [r.grad_norm for r in trace.records if np.isfinite(r.grad_norm)]
             rows.append(

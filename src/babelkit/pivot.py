@@ -127,19 +127,12 @@ class SyntheticModalityGenerator:
 # -- encoder -----------------------------------------------------------------
 
 
-@dataclass
-class EncoderConfig:
-    image_dim: int = 12
-    embed_dim: int = 16
-    token_count: int = 4
-    lvsa_enabled: bool = True
-    lvsa_tau: int = 200
-    lvsa_selected: tuple = (1, 2)
-
-
 class SharedEncoder:
     """Two nonlinear blocks over a token grid; the block outputs form a
-    two-level feature pyramid fused by LVSA before leaving the encoder."""
+    two-level feature pyramid fused by LVSA before leaving the encoder.
+
+    Shapes and LVSA settings come from an AlignConfig: image_dim,
+    embed_dim, token_count, lvsa_enabled, lvsa_tau and lvsa_selected."""
 
     PARAM_NAMES = ("enc.W0", "enc.W1", "enc.b1", "enc.W2", "enc.b2")
 
@@ -329,16 +322,6 @@ class AlignConfig:
     lvsa_selected: tuple = (1, 2)
     antipodal_modalities: bool = False
 
-    def encoder_config(self):
-        return EncoderConfig(
-            image_dim=self.image_dim,
-            embed_dim=self.embed_dim,
-            token_count=self.token_count,
-            lvsa_enabled=self.lvsa_enabled,
-            lvsa_tau=self.lvsa_tau,
-            lvsa_selected=tuple(self.lvsa_selected),
-        )
-
     @classmethod
     def from_dict(cls, obj):
         known = {f for f in cls.__dataclass_fields__}
@@ -368,7 +351,7 @@ def build_world(config):
             flip=flip,
         )
     pivot = LanguagePivot(vocab, config.embed_dim, seed=config.seed + 17)
-    encoder = SharedEncoder(config.encoder_config(), seed=config.seed + 29)
+    encoder = SharedEncoder(config, seed=config.seed + 29)
     return vocab, gens, pivot, encoder
 
 

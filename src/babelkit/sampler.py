@@ -83,32 +83,36 @@ def expected_counts(recipe):
 def draw_epoch(recipe, rng_seed):
     """One epoch: include each sample of each dataset independently with
     probability sample_rate, then shuffle globally. Deterministic in
-    (recipe, rng_seed); returns a list of (dataset name, index) pairs."""
+    (recipe, rng_seed); returns two int64 arrays in epoch order, each
+    draw's dataset (its position in recipe.entries) and its sample index."""
     rng = np.random.default_rng(rng_seed)
-    draws = []
+    kept = []
     for e in recipe.entries:
         if e.sample_rate == 0.0:
-            continue
-        if e.sample_rate == 1.0:
-            kept = np.arange(e.size)
+            kept.append(np.arange(0))
+        elif e.sample_rate == 1.0:
+            kept.append(np.arange(e.size))
         else:
-            kept = np.flatnonzero(rng.random(e.size) < e.sample_rate)
-        draws.extend((e.name, int(i)) for i in kept)
-    order = rng.permutation(len(draws))
-    return [draws[i] for i in order]
+            kept.append(np.flatnonzero(rng.random(e.size) < e.sample_rate))
+    dataset = np.repeat(np.arange(len(kept)), [k.size for k in kept])
+    index = np.concatenate(kept)
+    order = rng.permutation(index.size)
+    return dataset[order], index[order]
 
 
 def verify_rates(draws, recipe, abs_tolerance):
     """Empirical inclusion rate per dataset against the configured rate.
-    Returns {name: (empirical_rate, passed)}; unknown names are an error."""
-    by_name = {e.name: e for e in recipe.entries}
-    counts = {e.name: 0 for e in recipe.entries}
-    for name, _ in draws:
-        if name not in by_name:
-            raise ValueError(f"draw references unknown dataset {name!r}")
-        counts[name] += 1
+    ``draws`` is draw_epoch's (dataset, index) pair. Returns
+    {name: (empirical_rate, passed)}; a dataset code outside the recipe is
+    an error."""
+    dataset = np.asarray(draws[0], dtype=np.int64)
+    n = len(recipe.entries)
+    unknown = dataset[(dataset < 0) | (dataset >= n)]
+    if unknown.size:
+        raise ValueError(f"draw references unknown dataset {int(unknown[0])}")
+    counts = np.bincount(dataset, minlength=n).tolist()
     report = {}
-    for e in recipe.entries:
-        emp = counts[e.name] / e.size
+    for e, count in zip(recipe.entries, counts):
+        emp = count / e.size
         report[e.name] = (emp, abs(emp - e.sample_rate) <= abs_tolerance)
     return report

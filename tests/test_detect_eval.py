@@ -18,7 +18,6 @@ from babelkit.deteval import (
     harmonic_modality_map,
     iou,
     iou_table,
-    map_over_thresholds,
     modality_map,
 )
 
@@ -282,10 +281,18 @@ class TestEnvelope:
             assert got.hex() == quadratic_ap_from_points(recalls, precisions, mode).hex()
 
 
+def one_category_map(dets, gts, thresholds=DEFAULT_THRESHOLDS):
+    """Per-threshold AP and mean over the grid for category "c", as
+    ``evaluate`` reports them under a one-category registry."""
+    report = evaluate(dets, gts, ModalityRegistry({"m": ("c",)}), thresholds)
+    d = report.per_category_ap["c"]
+    return d["per_threshold"], d["mean"]
+
+
 class TestMapOverThresholds:
     def test_perfect(self):
         b = Box(0, 0, 10, 10)
-        per, mean = map_over_thresholds(
+        per, mean = one_category_map(
             [Detection("i", "c", b, 0.9)], [GroundTruthEntry("i", "c", b)]
         )
         assert mean == 1.0
@@ -295,7 +302,7 @@ class TestMapOverThresholds:
         # det IoU with gt = 0.6: AP 1 for thr in {0.50, 0.55, 0.60}, else 0
         gt = GroundTruthEntry("i", "c", Box(0, 0, 10, 10))
         det = Detection("i", "c", Box(0, 0, 10, 6), 0.9)
-        per, mean = map_over_thresholds([det], [gt])
+        per, mean = one_category_map([det], [gt])
         assert mean == pytest.approx(0.3)
 
     def test_default_grid(self):
@@ -303,13 +310,13 @@ class TestMapOverThresholds:
 
     def test_single_threshold_degenerate(self):
         rng = np.random.default_rng(7)
-        dets, gts = random_instance(rng, 5, 3)
-        per, mean = map_over_thresholds(dets, gts, [0.5])
+        dets, gts = random_instance(rng, 5, 3, category="c")
+        per, mean = one_category_map(dets, gts, [0.5])
         assert mean == average_precision(dets, gts, 0.5)
 
     def test_empty_threshold_list(self):
         with pytest.raises(ValueError):
-            map_over_thresholds([], [], [])
+            one_category_map([], [], [])
 
 
 class TestAggregates:

@@ -33,7 +33,7 @@ class TestGradientReport:
             rep.mean_cosine()
 
     def _encoder(self):
-        return P.SharedEncoder(P.AlignConfig().encoder_config(), seed=0)
+        return P.SharedEncoder(P.AlignConfig(), seed=0)
 
     def _direction_task(self, modality, entry_value):
         enc = self._encoder()
@@ -117,6 +117,24 @@ class TestConditioning:
         eigs = np.linalg.eigvalsh(h_det + 2.0 * np.eye(10))
         kappa = G.condition_number(spec, 2.0)
         assert kappa == pytest.approx(eigs[-1] / eigs[0], rel=1e-6)
+
+    def test_dense_sweep_needs_no_power_iteration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("power iteration called at dim <= 8")
+
+        monkeypatch.setattr(G, "power_iteration_extremes", refuse)
+        spec = G.HessianSpec.build(
+            6,
+            [10.0, 5.0, 2.0, 1.0, 0.5, 0.2],
+            [100.0, 1e-3, 1e-3, 1e-3, 1e-3, 1e-3],
+            math.radians(45.0),
+            plane=(0, 5),
+        )
+        rows = G.conditioning_sweep(spec, [0.0, 1.0, 4.0])
+        for lam, kappa, hi, lo in rows:
+            eigs = np.linalg.eigvalsh(spec.h_det + lam * spec.h_align)
+            assert (hi, lo) == (eigs[-1], eigs[0])
+            assert kappa == hi / lo
 
 
 class TestRuns:
@@ -203,6 +221,12 @@ class TestProposition3:
         res = G.proposition3_experiment(cfg, [0, 1, 3])
         assert res["post_alignment_mean_cosine"] > res["pre_alignment_mean_cosine"]
         assert len(res["per_seed"]) == 3
+
+    def test_lr_zero_leaves_encoder_untrained(self):
+        # lr is the pretraining learning rate: at 0 the encoder never moves
+        cfg = G.RunConfig(align=P.AlignConfig(steps=0), pretrain_steps=20, lr=0.0)
+        res = G.proposition3_experiment(cfg, [0, 1, 2])
+        assert all(r["post"] == r["pre"] for r in res["per_seed"])
 
 
 class TestProposition1Variance:
