@@ -255,9 +255,9 @@ class RunTrace:
     records: list
     verdict: str  # converged | diverged | max-steps
     first_nonfinite_step: object = None  # int or None
-
-    def losses(self):
-        return [r.loss for r in self.records]
+    # "<op>#<node id>" of the first non-finite tape node at the step the run
+    # stopped, or None (no stop, or a stop with a finite forward)
+    first_nonfinite_op: object = None
 
     def write_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -361,15 +361,20 @@ def _finetune(encoder, tasks, steps, lr, mode, lam):
         for m in heads:
             heads[m] = heads[m] - lr * grads[f"head.{m}"]
 
+    first_op = None
     if first_nonfinite is not None:
         verdict = "diverged"
+        found = tp.first_nonfinite()
+        if found is not None:
+            node_id, op = found
+            first_op = f"{op}#{node_id}"
     elif records and records[-1].loss <= records[0].loss:
         verdict = "converged"
     elif not records:
         verdict = "converged"
     else:
         verdict = "max-steps"
-    return RunTrace(records, verdict, first_nonfinite)
+    return RunTrace(records, verdict, first_nonfinite, first_op)
 
 
 def run_late_alignment(config):
@@ -431,8 +436,8 @@ def proposition3_experiment(config, seeds):
 
 def amp_stress(configs, precisions, trace_dir=None):
     """Run each named config under each precision mode; returns table rows
-    {config, precision, verdict, first_nonfinite_step, max_grad_norm} and
-    optionally writes per-run trajectory CSVs."""
+    {config, precision, verdict, first_nonfinite_step, max_grad_norm,
+    first_nonfinite_op} and optionally writes per-run trajectory CSVs."""
     rows = []
     for name, (runner, cfg) in configs.items():
         for prec in precisions:
@@ -446,6 +451,7 @@ def amp_stress(configs, precisions, trace_dir=None):
                     "verdict": trace.verdict,
                     "first_nonfinite_step": trace.first_nonfinite_step,
                     "max_grad_norm": max(finite_norms) if finite_norms else math.nan,
+                    "first_nonfinite_op": trace.first_nonfinite_op,
                 }
             )
             if trace_dir is not None:

@@ -93,7 +93,3 @@ def fuse(pyramid, selected, alpha):
         acc = add(acc, pyramid.layer(l))
     selected_mean = mul(acc, 1.0 / len(selected.indices))
     return add(mul(final, 1.0 - alpha), mul(selected_mean, alpha))
-
-
-def fuse_at_step(pyramid, selected, schedule, t):
-    return fuse(pyramid, selected, anneal_alpha(schedule, t))

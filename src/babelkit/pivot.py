@@ -179,14 +179,6 @@ class SharedEncoder:
             return 1.0
         return anneal_alpha(self.schedule, t_step)
 
-    def copy(self):
-        clone = SharedEncoder.__new__(SharedEncoder)
-        clone.config = self.config
-        clone.params = {k: v.copy() for k, v in self.params.items()}
-        clone.schedule = self.schedule
-        clone.selected = self.selected
-        return clone
-
     def state_arrays(self):
         return {k: v.copy() for k, v in self.params.items()}
 

@@ -98,7 +98,3 @@ def _round_to_grid(arr, mode):
 
     out[work] = q
     return out
-
-
-def quantize_scalar(x, mode):
-    return float(quantize_array(np.array([x]), mode)[0])

@@ -1,14 +1,16 @@
 """Dense float64 tensors with reverse-mode autodiff on an append-only tape.
 
 Primitive set: matmul, add, mul, mean, relu, softmax, log, gather, plus
-reshape as a structural (data-movement) node. Every primitive's output is
-quantized under the tape's PrecisionMode, as are accumulated gradients, so
-reduced-precision training failures are reproducible.
+reshape as a structural (data-movement) node. On a reduced-precision tape
+every primitive's output is quantized under the tape's PrecisionMode, as
+are accumulated gradients, so reduced-precision training failures are
+reproducible. An exact (float64) tape does not round at all.
 
 Tensors are immutable values; a tape is single-threaded and replayable.
 Primitive arithmetic, forward, backward and replay, runs under
 ``np.errstate(all="ignore")``: overflow, inf - inf and inf * 0 are data
-here (on a tape they set ``Tensor.contaminated``), not warnings.
+here, not warnings. ``DiffTape.first_nonfinite()`` names, on demand, the
+first recorded node whose output went non-finite.
 """
 
 import numpy as np
@@ -33,15 +35,14 @@ class NotOnTapeError(ValueError):
 class Tensor:
     """Immutable dense array, optionally attached to a tape node."""
 
-    __slots__ = ("data", "tape", "node", "contaminated")
+    __slots__ = ("data", "tape", "node")
 
-    def __init__(self, data, tape=None, node=None, contaminated=False):
+    def __init__(self, data, tape=None, node=None):
         arr = np.asarray(data, dtype=np.float64)
         arr.flags.writeable = False
         self.data = arr
         self.tape = tape
         self.node = node
-        self.contaminated = bool(contaminated)
 
     @property
     def shape(self):
@@ -71,6 +72,7 @@ class DiffTape:
 
     def __init__(self, mode=EXACT):
         self.mode = mode
+        self._rounds = not mode.is_exact  # an exact tape never quantizes
         self.nodes = []
         self.parameters = {}  # name -> node id (trainable leaves)
 
@@ -96,13 +98,19 @@ class DiffTape:
     # -- recording ---------------------------------------------------------
 
     def _record(self, op, input_tensors, attrs, raw_output):
-        out = precision.quantize_array(raw_output, self.mode)
-        contaminated = any(t.contaminated for t in input_tensors) or not bool(
-            np.all(np.isfinite(out))
-        )
-        node_id = len(self.nodes)
-        self.nodes.append(Node(op, tuple(t.node for t in input_tensors), attrs, out))
-        return Tensor(out, self, node_id, contaminated)
+        if self._rounds:
+            raw_output = precision.quantize_array(raw_output, self.mode)
+        out = Tensor(raw_output, self, len(self.nodes))
+        self.nodes.append(Node(op, tuple(t.node for t in input_tensors), attrs, out.data))
+        return out
+
+    def first_nonfinite(self):
+        """(node id, op) of the first recorded node whose output holds a
+        NaN or an infinity, or None when every output is finite."""
+        for node_id, node in enumerate(self.nodes):
+            if not np.isfinite(node.output).all():
+                return node_id, node.op
+        return None
 
     def _lift(self, x):
         if isinstance(x, Tensor):
@@ -119,14 +127,16 @@ class DiffTape:
         """Gradients of a recorded scalar w.r.t. every trainable parameter.
 
         Returns {name: ndarray} with the parameter's shape; parameters the
-        output does not depend on get zeros. Accumulated gradients are
-        quantized under the tape's precision mode.
+        output does not depend on get zeros. On a reduced-precision tape
+        every gradient contribution and every accumulated sum is quantized
+        under the tape's mode.
         """
         if not isinstance(output, Tensor) or output.tape is not self or output.node is None:
             raise NotOnTapeError("output was not recorded on this tape")
         if output.data.shape != ():
             raise ShapeError("backward", output.data.shape)
 
+        rounds, mode = self._rounds, self.mode
         grads = {output.node: np.ones(())}
         with np.errstate(all="ignore"):
             for node_id in range(output.node, -1, -1):
@@ -146,12 +156,14 @@ class DiffTape:
                     in_node = self.nodes[in_id]
                     if in_node.op == "const" or (in_node.op == "leaf" and not in_node.trainable):
                         continue  # gradient flow stops at constants and frozen leaves
-                    contrib = precision.quantize_array(contrib, self.mode)
+                    if rounds:
+                        contrib = precision.quantize_array(contrib, mode)
                     prev = grads.get(in_id)
-                    if prev is None:
-                        grads[in_id] = contrib
-                    else:
-                        grads[in_id] = precision.quantize_array(prev + contrib, self.mode)
+                    if prev is not None:
+                        contrib = prev + contrib
+                        if rounds:
+                            contrib = precision.quantize_array(contrib, mode)
+                    grads[in_id] = contrib
 
         result = {}
         for name, node_id in self.parameters.items():
@@ -177,21 +189,11 @@ class DiffTape:
             inputs = [values[i] for i in node.inputs]
             with np.errstate(all="ignore"):
                 raw = _FORWARDS[node.op](inputs, node.attrs)
-            out = precision.quantize_array(raw, self.mode)
+            out = precision.quantize_array(raw, self.mode) if self._rounds else np.asarray(raw)
             values.append(out)
             if out.tobytes() != node.output.tobytes():
                 ok = False
         return ok
-
-
-def record_forward(tape, program, *inputs):
-    """Run ``program`` (a composition of primitives) on ``tape``, returning
-    its output tensor. Inputs may be Tensors, arrays, or scalars."""
-    lifted = [tape._lift(x) for x in inputs]
-    out = program(*lifted)
-    if not isinstance(out, Tensor) or out.tape is not tape:
-        raise NotOnTapeError("program output was not recorded on the tape")
-    return out
 
 
 # -- primitives --------------------------------------------------------------
@@ -296,7 +298,10 @@ _FORWARDS = {
 
 
 def _unbroadcast(g, shape):
-    """Sum ``g`` down to ``shape`` (reverse of numpy broadcasting)."""
+    """Sum ``g`` down to ``shape`` (reverse of numpy broadcasting); ``g``
+    itself when it already has that shape."""
+    if np.shape(g) == shape:
+        return g
     g = np.asarray(g)
     while g.ndim > len(shape):
         g = g.sum(axis=0)
@@ -351,8 +356,10 @@ def _vjp_gather(g, out, inputs, attrs):
     idx = attrs["indices"]
     axis = attrs.get("axis", 0)
     grad = np.zeros_like(a)
-    moved = np.moveaxis(grad, axis, 0)
-    np.add.at(moved, idx, np.moveaxis(np.asarray(g), axis, 0))
+    if axis == 0:
+        np.add.at(grad, idx, g)
+    else:
+        np.add.at(np.moveaxis(grad, axis, 0), idx, np.moveaxis(np.asarray(g), axis, 0))
     return (grad,)
 
 

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import re
 
 import pytest
 
@@ -222,6 +224,33 @@ class TestGradlabConfigErrors:
         assert run(["gradlab", "--config", str(path), "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestGradlabRun:
+    def test_stability_table_names_first_nonfinite_op(self, tmp_path, capsys):
+        with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        # late/fp16 overflows at step 54 of the bundled harness; shorten the rest
+        cfg["stability"]["base"].update(steps=60, pretrain_steps=5)
+        cfg["prop3"].update(pretrain_steps=5, seeds=[0, 1, 2])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["gradlab", "--config", str(path), "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        with open(out / "stability_table.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["config", "precision", "verdict", "first_nonfinite_step",
+                          "max_grad_norm", "first_nonfinite_op"]
+        by_run = {(r[0], r[1]): r for r in rows}
+        assert len(by_run) == len(rows) == 6
+        late = by_run[("late", "fp16")]
+        assert late[2] == "diverged" and late[3] != ""
+        assert re.fullmatch(r"[a-z]+#\d+", late[5])
+        assert f"late/fp16: diverged (first non-finite step {late[3]})" in stdout
+        for r in rows:
+            if r[3] == "":
+                assert r[5] == ""
 
 
 class TestSample:

@@ -1,15 +1,25 @@
+import copy
 import math
+import re
 
 import numpy as np
 import pytest
 
 from babelkit import gradlab as G
 from babelkit import pivot as P
+from babelkit import tape as T
 from babelkit.tape import DiffTape
 
 
 def antipodal_align(seed=0):
     return P.AlignConfig(antipodal_modalities=True, steps=0, seed=seed)
+
+
+def copy_encoder(enc):
+    """An encoder with ``enc``'s settings and its own copy of its parameters."""
+    clone = copy.copy(enc)
+    clone.params = {k: v.copy() for k, v in enc.params.items()}
+    return clone
 
 
 class TestGradientReport:
@@ -147,7 +157,7 @@ class TestRuns:
     def test_lam0_tiny_lr_converges(self):
         trace = G.run_late_alignment(self._cfg())
         assert trace.verdict == "converged"
-        losses = trace.losses()
+        losses = [r.loss for r in trace.records]
         assert losses[-1] <= losses[0]
 
     def test_late_lam0_equals_two_stage_zero_pretrain(self):
@@ -168,6 +178,27 @@ class TestRuns:
         assert trace.verdict == "diverged"
         assert trace.first_nonfinite_step is not None
         assert trace.first_nonfinite_step == trace.records[-1].step
+
+    def test_fp16_overflow_names_first_nonfinite_op(self):
+        # the bundled stability harness's late run overflows fp16 mid-run
+        trace = G.run_late_alignment(self._cfg(
+            steps=80, lr=0.06, lam=5000.0, precision="fp16", target_scale=4.0))
+        assert trace.verdict == "diverged"
+        assert not math.isfinite(trace.records[-1].loss)
+        op, node = re.fullmatch(r"([a-z]+)#(\d+)", trace.first_nonfinite_op).groups()
+        assert op in T._FORWARDS and int(node) > 0
+
+    def test_stop_with_finite_forward_has_no_first_op(self, monkeypatch):
+        # a loss over the divergence limit stops the run with every node finite
+        monkeypatch.setattr(G, "DIVERGENCE_LOSS_LIMIT", -1.0)
+        trace = G.run_late_alignment(self._cfg())
+        assert trace.verdict == "diverged" and trace.first_nonfinite_step == 0
+        assert math.isfinite(trace.records[0].loss)
+        assert trace.first_nonfinite_op is None
+
+    def test_finished_run_has_no_first_op(self):
+        trace = G.run_late_alignment(self._cfg(precision="fp16"))
+        assert trace.first_nonfinite_step is None and trace.first_nonfinite_op is None
 
     def test_unknown_precision(self):
         with pytest.raises(ValueError, match="precision"):
@@ -241,7 +272,7 @@ class TestProposition1Variance:
         tasks = G.build_detection_tasks(cfg, encoder, vocab, gens)
 
         def collect(enc, schedule):
-            enc = enc.copy()
+            enc = copy_encoder(enc)
             steps = []
             for t in range(100):
                 task = tasks[schedule(t)]

@@ -11,9 +11,12 @@ from babelkit.lvsa import (
     SelectedSet,
     anneal_alpha,
     fuse,
-    fuse_at_step,
 )
 from babelkit.tape import DiffTape
+
+
+def fuse_at_step(pyramid, selected, schedule, t):
+    return fuse(pyramid, selected, anneal_alpha(schedule, t))
 
 
 def random_pyramid(rng, layers=4, shape=(2, 3)):

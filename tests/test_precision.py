@@ -11,12 +11,15 @@ from babelkit.precision import (
     PrecisionMode,
     _round_to_grid,
     quantize_array,
-    quantize_scalar,
 )
 
 FP16_MAX = 65504.0
 # FP16 takes the float16 cast, every other grid the generic rounding
 PROPERTY_MODES = (FP16, PrecisionMode(3, -4, 4))
+
+
+def quantize_scalar(x, mode):
+    return float(quantize_array(np.array([x]), mode)[0])
 
 
 def float16_round_trip(x):

@@ -4,9 +4,21 @@ import warnings
 import numpy as np
 import pytest
 
+from babelkit import pivot as P
+from babelkit import precision
 from babelkit import tape as T
+from babelkit.checks import finite_diff_check
 from babelkit.precision import FP16
-from babelkit.tape import DiffTape, NotOnTapeError, ShapeError, Tensor, record_forward
+from babelkit.tape import DiffTape, NotOnTapeError, ShapeError, Tensor
+
+
+def record_forward(tape, program, *inputs):
+    """Run ``program`` on ``tape`` with its inputs lifted onto the tape;
+    the output must be recorded there."""
+    out = program(*[tape._lift(x) for x in inputs])
+    if not isinstance(out, Tensor) or out.tape is not tape:
+        raise NotOnTapeError("program output was not recorded on the tape")
+    return out
 
 
 class TestForwardExamples:
@@ -115,13 +127,18 @@ class TestFiniteDifferenceAllPrimitives:
         ("softmax", lambda x: T.mean(T.mul(T.softmax(x), np.arange(4.0))), (4,)),
         ("log", lambda x: T.mean(T.log(x)), (4,)),
         ("gather", lambda x: T.mean(T.gather(x, [2, 0])), (4,)),
+        (
+            "gather_axis1_repeated",
+            lambda x: T.mean(
+                T.mul(T.gather(x, [2, 0, 2, 2, 1], axis=1), np.arange(15.0).reshape(3, 5))
+            ),
+            (3, 4),
+        ),
         ("reshape", lambda x: T.mean(T.mul(T.reshape(x, (6,)), np.arange(6.0))), (2, 3)),
     ]
 
     @pytest.mark.parametrize("name,f,shape", CASES, ids=[c[0] for c in CASES])
     def test_primitive_gradients(self, name, f, shape):
-        from babelkit.checks import finite_diff_check
-
         rng = np.random.default_rng(42)
         for trial in range(10):
             point = rng.standard_normal(shape)
@@ -153,16 +170,18 @@ class TestReplayAndPrecision:
         out = T.mul(tp.parameter(1.0, "x"), 1.0001)
         assert out.item() == 1.0  # 1.0001 rounds to 1.0 in fp16
 
-    def test_overflow_sets_contaminated(self):
+    def test_overflow_is_first_nonfinite(self):
         tp = DiffTape(FP16)
         x = tp.parameter(60000.0, "x")
+        assert tp.first_nonfinite() is None
         out = T.mul(x, 2.0)
         assert out.item() == math.inf
-        assert out.contaminated
-        assert not x.contaminated
+        assert tp.first_nonfinite() == (out.node, "mul")
+        assert tp.first_nonfinite()[0] != x.node
 
     def test_nonfinite_arithmetic_raises_no_warning(self):
-        # inf * 0 inside an fp16 matmul is data: NaN out, contaminated, no warning
+        # inf * 0 inside an fp16 matmul is data: NaN out, no warning, and the
+        # first non-finite node is the overflowing mul upstream of the matmul
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tp = DiffTape(FP16)
@@ -170,8 +189,16 @@ class TestReplayAndPrecision:
             out = T.matmul(big, np.array([[0.0], [1.0]]))
             grads = tp.backward(T.mean(T.mul(out, out)))
             assert tp.replay()
-        assert np.isnan(out.data[0, 0]) and out.contaminated
+            first = tp.first_nonfinite()
+        assert np.isnan(out.data[0, 0]) and first == (big.node, "mul")
         assert np.all(np.isnan(grads["x"]))
+
+    def test_finite_tape_has_no_first_nonfinite(self):
+        assert DiffTape().first_nonfinite() is None
+        for mode in (precision.EXACT, FP16):
+            tp = DiffTape(mode)
+            self._program(tp, np.random.default_rng(3).standard_normal((2, 3)))
+            assert tp.first_nonfinite() is None
 
     def test_duplicate_parameter_name_rejected(self):
         tp = DiffTape()
@@ -197,3 +224,43 @@ class TestReplayAndPrecision:
         out = T.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         np.testing.assert_array_equal(out.data, [4.0, 6.0])
         assert out.tape is None
+
+
+def _align_step(mode):
+    """One training step of the bundled alignment setup on a ``mode`` tape:
+    loss, backward and replay."""
+    config = P.AlignConfig()
+    vocab, gens, pivot, encoder = P.build_world(config)
+    tp = DiffTape(mode)
+    p = encoder.register(tp)
+    fp = pivot.register(tp)
+    batch = P.training_batch(vocab, gens, config, 0)
+    loss = P.batch_loss(p, fp, encoder, pivot, batch, encoder.alpha_at(0))
+    ops = sum(node.op not in ("leaf", "const") for node in tp.nodes)
+    grads = tp.backward(loss)
+    assert tp.replay()
+    return ops, grads
+
+
+class TestExactTapeNeverRounds:
+    def test_exact_step_makes_no_quantize_call(self, monkeypatch):
+        def refuse(x, mode):
+            raise AssertionError("an exact tape quantized")
+
+        monkeypatch.setattr(precision, "quantize_array", refuse)
+        _, grads = _align_step(precision.EXACT)
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+    def test_fp16_step_still_quantizes(self, monkeypatch):
+        calls = []
+        real = precision.quantize_array
+
+        def counting(x, mode):
+            calls.append(mode)
+            return real(x, mode)
+
+        monkeypatch.setattr(precision, "quantize_array", counting)
+        ops, _ = _align_step(FP16)
+        # one call per recorded primitive, then more in backward and replay
+        assert len(calls) > 2 * ops
+        assert set(calls) == {FP16}
