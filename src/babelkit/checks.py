@@ -1,5 +1,8 @@
-"""Numerical verification utilities: central-difference gradient checking
-and power-iteration extreme-eigenvalue estimation."""
+"""Numerical verification utilities: central-difference gradient checking,
+power-iteration extreme-eigenvalue estimation, and the field checks that
+configs run before any work."""
+
+import numbers
 
 import numpy as np
 
@@ -15,6 +18,31 @@ class PowerIterationError(RuntimeError):
         super().__init__(f"no convergence after {iters} iterations (residual {residual:g})")
         self.residual = residual
         self.iters = iters
+
+
+def config_int(name, value, low, high=None):
+    """ValueError unless ``value`` is an integer, not a bool, with
+    ``low <= value`` and, if ``high`` is given, ``value < high``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < low
+        or (high is not None and value >= high)
+    ):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def config_number(name, value, low=None):
+    """ValueError unless ``value`` is a real number, not a bool, and
+    ``value >= low`` when ``low`` is given."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or (low is not None and not value >= low)
+    ):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be a number{bound}, got {value!r}")
 
 
 def finite_diff_check(f, point, step=1e-5):

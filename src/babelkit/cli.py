@@ -149,6 +149,7 @@ def cmd_align(args):
         if args.seed is not None:
             obj["seed"] = args.seed
         config = P.AlignConfig.from_dict(obj)
+        P.check_pretrain_inputs(config)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -206,16 +207,17 @@ def cmd_gradlab(args):
         lambdas = [float(x) for x in obj["lambdas"]]
         stability = obj["stability"]
         base = gradlab.RunConfig.from_dict(stability["base"])
+        P.check_pretrain_inputs(base.align)  # the two-stage runs pretrain it
         precisions = list(stability["precisions"])
         for p in precisions:
             gradlab.resolve_precision(p)
         prop3 = obj["prop3"]
         p3_run = gradlab.RunConfig(
             align=P.AlignConfig.from_dict(prop3["align"]),
-            pretrain_steps=int(prop3["pretrain_steps"]),
-            lr=float(prop3["lr"]),
+            pretrain_steps=prop3["pretrain_steps"],
+            lr=prop3["lr"],
         )
-        p3_seeds = [int(s) for s in prop3["seeds"]]
+        p3_seeds = list(prop3["seeds"])
         gradlab.check_prop3_inputs(p3_run, p3_seeds)
         report_align = P.AlignConfig.from_dict(obj["gradient_report"]["align"])
     except (KeyError, ValueError, TypeError, OSError) as exc:

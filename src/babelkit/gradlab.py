@@ -18,7 +18,7 @@ import numpy as np
 
 from babelkit import pivot as P
 from babelkit import tape as T
-from babelkit.checks import power_iteration_extremes
+from babelkit.checks import config_int, config_number, power_iteration_extremes
 from babelkit.precision import EXACT, FP16, PrecisionMode
 from babelkit.tape import DiffTape
 
@@ -202,6 +202,11 @@ class HessianSpec:
         align_eigs = np.asarray(align_eigs, dtype=np.float64)
         if det_eigs.shape != (dim,) or align_eigs.shape != (dim,):
             raise ValueError("need one eigenvalue per dimension for both matrices")
+        plane = tuple(plane)
+        if len(plane) != 2 or plane[0] == plane[1]:
+            raise ValueError(f"plane must be two distinct axes, got {list(plane)}")
+        for axis in plane:
+            config_int("plane axis", axis, 0, dim)
         r = _rotation(dim, angle, plane)
         return cls(np.diag(det_eigs), r @ np.diag(align_eigs) @ r.T)
 
@@ -245,7 +250,6 @@ def conditioning_sweep(spec, lambdas):
 class RunRecord:
     step: int
     loss: float
-    task_losses: tuple
     grad_norm: float
     alpha: float
 
@@ -278,6 +282,14 @@ class RunConfig:
     precision: str = "exact"
     pretrain_steps: int = 0  # two-stage only
     target_scale: float = 1.0
+
+    def __post_init__(self):
+        config_int("steps", self.steps, 0)
+        config_int("pretrain_steps", self.pretrain_steps, 0)
+        config_number("lr", self.lr)
+        config_number("lam", self.lam, 0)
+        config_number("target_scale", self.target_scale)
+        resolve_precision(self.precision)
 
     @classmethod
     def from_dict(cls, obj):
@@ -344,15 +356,14 @@ def _finetune(encoder, tasks, steps, lr, mode, lam):
             total = T.add(total, T.mul(align, float(lam)))
 
         loss = float(total.data)
-        per_task = tuple(float(l.data) for l in task_losses)
         if not np.isfinite(loss) or loss > DIVERGENCE_LOSS_LIMIT:
-            records.append(RunRecord(step, loss, per_task, math.nan, 1.0))
+            records.append(RunRecord(step, loss, math.nan, 1.0))
             first_nonfinite = step
             break
         grads = tp.backward(total)
         gvec = np.concatenate([g.reshape(-1) for g in grads.values()])
         gnorm = float(np.linalg.norm(gvec))
-        records.append(RunRecord(step, loss, per_task, gnorm, 1.0))
+        records.append(RunRecord(step, loss, gnorm, 1.0))
         if not np.isfinite(gnorm):
             first_nonfinite = step
             break
@@ -368,9 +379,7 @@ def _finetune(encoder, tasks, steps, lr, mode, lam):
         if found is not None:
             node_id, op = found
             first_op = f"{op}#{node_id}"
-    elif records and records[-1].loss <= records[0].loss:
-        verdict = "converged"
-    elif not records:
+    elif not records or records[-1].loss <= records[0].loss:
         verdict = "converged"
     else:
         verdict = "max-steps"
@@ -402,8 +411,11 @@ def run_two_stage(config):
 def check_prop3_inputs(config, seeds):
     if len(config.align.modalities) < 2:
         raise ValueError("need at least 2 modalities for pairwise cosines")
+    P.check_pretrain_inputs(config.align)
     if len(seeds) < 3:
         raise ValueError("need at least 3 seeds")
+    for seed in seeds:
+        config_int("prop3 seed", seed, 0)
 
 
 def proposition3_experiment(config, seeds):

@@ -12,11 +12,13 @@ encoder maps an image batch (B, d_x) to visual tokens (B, n_z, d_e), and
 ``batch_loss`` scores every response position of every sample with one
 decoder matmul, one softmax and one gather.
 
-Inference is the training forward, run without a tape: given plain arrays
-(``encoder.params``, ``pivot.arrays()``) the same ``encode`` and
-``next_token_probs`` return tape-free tensors, with nothing recorded or
-quantized. ``consistency_report`` scores every probe image that way in one
-batched pass.
+The frozen pivot is plain arrays (``pivot.embed``, ``pivot.W``,
+``pivot.b``), in training as in inference: it is never registered on a
+tape, so on a training tape it enters as constants. Inference is the
+training forward, run without a tape: given ``encoder.params`` the same
+``encode`` and ``next_token_probs`` return tape-free tensors, with nothing
+recorded or quantized. ``consistency_report`` scores every probe image that
+way in one batched pass.
 
 The pivot is calibrated once on token-only sequences so that concept token
 chains are already predictable from the previous token; the visual context
@@ -30,6 +32,7 @@ import numpy as np
 
 from babelkit import lvsa
 from babelkit import tape as T
+from babelkit.checks import config_int, config_number
 from babelkit.lvsa import AnnealSchedule, FeaturePyramid, SelectedSet, anneal_alpha
 from babelkit.tape import DiffTape
 
@@ -196,8 +199,6 @@ class LanguagePivot:
     (no images), then never updated.
     """
 
-    PARAM_NAMES = ("pivot.embed", "pivot.W", "pivot.b")
-
     def __init__(self, vocab, embed_dim, seed=0, target_logit=4.0):
         V = vocab.vocab_size
         rng = np.random.default_rng(seed)
@@ -220,26 +221,13 @@ class LanguagePivot:
         self.W, *_ = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)
         self.b = np.zeros(V)
 
-    def arrays(self):
-        """The frozen parameters as plain arrays, for a tape-free forward."""
-        return {"pivot.embed": self.embed, "pivot.W": self.W, "pivot.b": self.b}
-
-    def register(self, tp):
-        """Register the frozen parameters on a tape (trainable=False, so
-        backward reports exactly-zero gradients for them)."""
-        return {
-            name: tp.parameter(value, name, trainable=False)
-            for name, value in self.arrays().items()
-        }
-
-    def next_token_probs(self, fp, token_pairs, visual_tokens):
+    def next_token_probs(self, token_pairs, visual_tokens):
         """(N, V) next-token distributions at the response positions
         (teacher forced).
 
-        ``fp`` is the frozen tensor dict from register(), or arrays() for a
-        tape-free forward; ``token_pairs`` one (instruction, response) pair
-        per sample; ``visual_tokens`` the (B, n_z, d_e) encoder output. Rows
-        follow the samples' response positions in order, N = sum of
+        ``token_pairs`` is one (instruction, response) pair per sample;
+        ``visual_tokens`` the (B, n_z, d_e) encoder output, taped or not.
+        Rows follow the samples' response positions in order, N = sum of
         |response|.
         """
         prev, owner = [], []
@@ -247,16 +235,16 @@ class LanguagePivot:
             prev += (q[-1],) + tuple(r[:-1])
             owner += [b] * len(r)
         z_bar = T.mean(visual_tokens, axis=1)  # (B, d_e)
-        h = T.add(T.gather(fp["pivot.embed"], prev), T.gather(z_bar, owner))  # (N, d_e)
-        logits = T.add(T.matmul(h, fp["pivot.W"]), fp["pivot.b"])  # (N, V)
+        h = T.add(T.gather(self.embed, prev), T.gather(z_bar, owner))  # (N, d_e)
+        logits = T.add(T.matmul(h, self.W), self.b)  # (N, V)
         return T.softmax(logits, axis=-1)
 
-    def response_log_probs(self, fp, token_pairs, visual_tokens):
+    def response_log_probs(self, token_pairs, visual_tokens):
         """(N,) log-probability tensor of each response token: the log of
         next_token_probs() at the token that follows."""
         picks = [tok for _, r in token_pairs for tok in r]
         V = self.vocab.vocab_size
-        logp = T.log(self.next_token_probs(fp, token_pairs, visual_tokens))
+        logp = T.log(self.next_token_probs(token_pairs, visual_tokens))
         flat = T.reshape(logp, (len(picks) * V,))
         return T.gather(flat, [j * V + tok for j, tok in enumerate(picks)])
 
@@ -264,7 +252,7 @@ class LanguagePivot:
 # -- alignment loss ----------------------------------------------------------
 
 
-def batch_loss(p, fp, encoder, pivot, batch, alpha):
+def batch_loss(p, encoder, pivot, batch, alpha):
     """Mean over the samples of each sample's summed response-token
     negative log-likelihood, as a tape scalar built in one batched graph."""
     for sample in batch:
@@ -274,9 +262,7 @@ def batch_loss(p, fp, encoder, pivot, batch, alpha):
                     f"token {tok} outside vocabulary of size {pivot.vocab.vocab_size}"
                 )
     z = encoder.encode(p, np.stack([s.image for s in batch]), alpha)
-    logp = pivot.response_log_probs(
-        fp, [(s.instruction_tokens, s.response_tokens) for s in batch], z
-    )
+    logp = pivot.response_log_probs([(s.instruction_tokens, s.response_tokens) for s in batch], z)
     return T.mul(T.mean(logp), -logp.shape[0] / len(batch))
 
 
@@ -284,12 +270,10 @@ def alignment_loss(encoder, pivot, sample, alpha=1.0):
     """Loss value plus gradients for a single sample.
 
     Returns (loss, grads) where grads maps encoder parameter names to
-    arrays; pivot gradients are exactly zero by construction.
+    arrays; the frozen pivot is not on the tape and has none.
     """
     tp = DiffTape()
-    p = encoder.register(tp)
-    fp = pivot.register(tp)
-    loss = batch_loss(p, fp, encoder, pivot, [sample], alpha)
+    loss = batch_loss(encoder.register(tp), encoder, pivot, [sample], alpha)
     grads = tp.backward(loss)
     return float(loss.data), grads
 
@@ -313,6 +297,33 @@ class AlignConfig:
     lvsa_tau: int = 200
     lvsa_selected: tuple = (1, 2)
     antipodal_modalities: bool = False
+
+    def __post_init__(self):
+        """Field checks, cheap enough to run before any work: integer fields
+        hold integers, sizes are positive, and the world and encoder the
+        config describes can be built."""
+        for name in ("image_dim", "latent_dim", "embed_dim", "token_count", "lvsa_tau"):
+            config_int(name, getattr(self, name), 1)
+        config_int("steps", self.steps, 0)
+        config_int("seed", self.seed, 0)
+        config_number("noise_sigma", self.noise_sigma, 0)
+        config_number("lr", self.lr)
+        for name, flag in (("lvsa_enabled", self.lvsa_enabled),
+                           ("antipodal_modalities", self.antipodal_modalities)):
+            if not isinstance(flag, bool):
+                raise ValueError(f"{name} must be true or false, got {flag!r}")
+        for name, names in (("concepts", self.concepts), ("modalities", self.modalities)):
+            if len(set(names)) != len(names):
+                raise ValueError(f"{name} must be unique")
+        if self.latent_dim < len(self.concepts):
+            raise ValueError("latent_dim must be >= number of concepts")
+        if self.image_dim < self.latent_dim:
+            raise ValueError("image_dim must be >= latent_dim")
+        for index in self.lvsa_selected:
+            config_int("lvsa_selected index", index, 1)
+        selected = SelectedSet(tuple(self.lvsa_selected))
+        if self.lvsa_enabled:
+            selected.validate_for(2)  # the encoder's two blocks
 
     @classmethod
     def from_dict(cls, obj):
@@ -357,14 +368,18 @@ def training_batch(vocab, gens, config, step):
     return batch
 
 
+def check_pretrain_inputs(config):
+    if len(config.modalities) < 2 or len(config.concepts) < 2:
+        raise ValueError("need at least 2 modalities and 2 concepts")
+
+
 def pretrain_align(config, encoder=None):
     """Plain full-batch gradient descent on the alignment loss.
 
     Returns (encoder, trace) where trace is a list of (step, loss, alpha)
     tuples; raises NonFiniteLossError on numerical failure.
     """
-    if len(config.modalities) < 2 or len(config.concepts) < 2:
-        raise ValueError("need at least 2 modalities and 2 concepts")
+    check_pretrain_inputs(config)
     vocab, gens, pivot, fresh = build_world(config)
     if encoder is None:
         encoder = fresh
@@ -372,10 +387,8 @@ def pretrain_align(config, encoder=None):
     for step in range(config.steps):
         alpha = encoder.alpha_at(step)
         tp = DiffTape()
-        p = encoder.register(tp)
-        fp = pivot.register(tp)
         batch = training_batch(vocab, gens, config, step)
-        total = batch_loss(p, fp, encoder, pivot, batch, alpha)
+        total = batch_loss(encoder.register(tp), encoder, pivot, batch, alpha)
         loss = float(total.data)
         if not np.isfinite(loss):
             raise NonFiniteLossError(step)
@@ -410,9 +423,7 @@ def consistency_report(encoder, pivot, vocab, gens, alpha=1.0):
     X = np.stack([gens[m].mixing @ vocab.latents[c] + gens[m].offset for m, c in probes])
     z = encoder.encode(encoder.params, X, alpha)
     responses = [vocab.token_seqs[c] for _, c in probes]
-    probs = pivot.next_token_probs(
-        pivot.arrays(), [(vocab.prompt_tokens, r) for r in responses], z
-    ).data
+    probs = pivot.next_token_probs([(vocab.prompt_tokens, r) for r in responses], z).data
     ends = np.cumsum([len(r) for r in responses])
     dists = dict(zip(probes, np.split(probs, ends[:-1])))
     pairs = [(a, b) for i, a in enumerate(mods) for b in mods[i + 1:]]

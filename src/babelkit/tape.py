@@ -6,6 +6,10 @@ every primitive's output is quantized under the tape's PrecisionMode, as
 are accumulated gradients, so reduced-precision training failures are
 reproducible. An exact (float64) tape does not round at all.
 
+Leaves are the trainable parameters (``DiffTape.parameter``); backward
+returns a gradient for each. Every operand that does not train (a plain
+array, a tape-free Tensor) is a constant, and gradient flow stops there.
+
 Tensors are immutable values; a tape is single-threaded and replayable.
 Primitive arithmetic, forward, backward and replay, runs under
 ``np.errstate(all="ignore")``: overflow, inf - inf and inf * 0 are data
@@ -56,15 +60,13 @@ class Tensor:
 
 
 class Node:
-    __slots__ = ("op", "inputs", "attrs", "output", "name", "trainable")
+    __slots__ = ("op", "inputs", "attrs", "output")
 
-    def __init__(self, op, inputs, attrs, output, name=None, trainable=False):
+    def __init__(self, op, inputs, attrs, output):
         self.op = op
         self.inputs = inputs
         self.attrs = attrs
         self.output = output
-        self.name = name
-        self.trainable = trainable
 
 
 class DiffTape:
@@ -74,18 +76,17 @@ class DiffTape:
         self.mode = mode
         self._rounds = not mode.is_exact  # an exact tape never quantizes
         self.nodes = []
-        self.parameters = {}  # name -> node id (trainable leaves)
+        self.parameters = {}  # name -> node id of the leaf
 
     # -- leaves ------------------------------------------------------------
 
-    def parameter(self, data, name, trainable=True):
-        """Register a named leaf. Frozen leaves (trainable=False) block
-        gradient flow and report exactly-zero gradients."""
+    def parameter(self, data, name):
+        """Register a named leaf: a parameter that backward differentiates."""
         if name in self.parameters:
             raise ValueError(f"duplicate parameter name {name!r}")
         arr = np.array(data, dtype=np.float64)
         node_id = len(self.nodes)
-        self.nodes.append(Node("leaf", (), {}, arr, name=name, trainable=trainable))
+        self.nodes.append(Node("leaf", (), {}, arr))
         self.parameters[name] = node_id
         return Tensor(arr, self, node_id)
 
@@ -124,7 +125,7 @@ class DiffTape:
     # -- reverse pass ------------------------------------------------------
 
     def backward(self, output):
-        """Gradients of a recorded scalar w.r.t. every trainable parameter.
+        """Gradients of a recorded scalar w.r.t. every parameter.
 
         Returns {name: ndarray} with the parameter's shape; parameters the
         output does not depend on get zeros. On a reduced-precision tape
@@ -151,11 +152,8 @@ class DiffTape:
                 inputs = [self.nodes[i].output for i in node.inputs]
                 contribs = vjp(g, node.output, inputs, node.attrs)
                 for in_id, contrib in zip(node.inputs, contribs):
-                    if contrib is None:
-                        continue
-                    in_node = self.nodes[in_id]
-                    if in_node.op == "const" or (in_node.op == "leaf" and not in_node.trainable):
-                        continue  # gradient flow stops at constants and frozen leaves
+                    if self.nodes[in_id].op == "const":
+                        continue  # gradient flow stops at constants
                     if rounds:
                         contrib = precision.quantize_array(contrib, mode)
                     prev = grads.get(in_id)
@@ -167,12 +165,12 @@ class DiffTape:
 
         result = {}
         for name, node_id in self.parameters.items():
-            node = self.nodes[node_id]
+            out = self.nodes[node_id].output
             g = grads.get(node_id)
-            if g is None or not node.trainable:
-                result[name] = np.zeros_like(node.output, dtype=np.float64)
+            if g is None:
+                result[name] = np.zeros_like(out)
             else:
-                result[name] = np.array(g, dtype=np.float64).reshape(node.output.shape)
+                result[name] = np.array(g, dtype=np.float64).reshape(out.shape)
         return result
 
     # -- replay ------------------------------------------------------------

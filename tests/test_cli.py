@@ -167,11 +167,30 @@ class TestAlign:
         for concept, pre in cons["pre"].items():
             assert cons["post"][concept] < pre
 
-    def test_bad_config_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"bogus": 1}, id="unknown-key"),
+        pytest.param({"token_count": 0}, id="token_count-0"),
+        pytest.param({"steps": 5.0}, id="steps-float"),
+        pytest.param({"steps": -5}, id="steps-negative"),
+        pytest.param({"steps": True}, id="steps-bool"),
+        pytest.param({"seed": -1}, id="seed-negative"),
+        pytest.param({"lvsa_selected": [1, 3]}, id="lvsa_selected-past-blocks"),
+        pytest.param({"lvsa_tau": 0}, id="lvsa_tau-0"),
+        pytest.param({"lvsa_enabled": "no"}, id="lvsa_enabled-string"),
+        pytest.param({"latent_dim": 1}, id="latent_dim-below-concepts"),
+        pytest.param({"image_dim": 2}, id="image_dim-below-latent_dim"),
+        pytest.param({"concepts": ["ship", "ship"]}, id="concepts-duplicate"),
+        pytest.param({"modalities": ["sar", "sar"]}, id="modalities-duplicate"),
+        pytest.param({"modalities": ["sar"]}, id="modalities-single"),
+        pytest.param({"noise_sigma": -1}, id="noise_sigma-negative"),
+    ])
+    def test_bad_config_exit_2(self, tmp_path, capsys, bad):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
-        assert run(["align", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        cfg.write_text(json.dumps(bad), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["align", "--config", str(cfg), "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_config_exit_2(self, tmp_path, capsys, bad):
@@ -218,6 +237,36 @@ class TestGradlabConfigErrors:
             del cfg["prop3"][key]
         else:
             cfg["prop3"][key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["gradlab", "--config", str(path), "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("updates", [
+        pytest.param({"stability.base.align.token_count": 0}, id="align-token_count-0"),
+        pytest.param({"stability.base.align.modalities": ["sar"]}, id="align-single-modality"),
+        pytest.param({"stability.base.steps": "5"}, id="steps-string"),
+        pytest.param({"stability.base.lam": -5}, id="lam-negative"),
+        pytest.param({"prop3.seeds": [-1, 0, 1]}, id="prop3-seed-negative"),
+        pytest.param({"prop3.align.concepts": ["ship"]}, id="prop3-single-concept"),
+        pytest.param({"hessian.plane": [0, 9]}, id="plane-out-of-range"),
+        pytest.param({"hessian.plane": [2, 2]}, id="plane-repeated-axis"),
+        pytest.param(
+            {"hessian.dim": 0, "hessian.det_eigs": [], "hessian.align_eigs": []}, id="dim-0"
+        ),
+    ])
+    def test_bad_field_exit_2_before_any_work(self, tmp_path, capsys, updates):
+        with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        for dotted, value in updates.items():
+            *parents, key = dotted.split(".")
+            section = cfg
+            for name in parents:
+                section = section.setdefault(name, {})
+            section[key] = value
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         out = tmp_path / "o"
