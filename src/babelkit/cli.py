@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from babelkit import __version__
-from babelkit import deteval, deteval_io, gradlab
+from babelkit import checks, deteval, deteval_io, gradlab
 from babelkit import pivot as P
 from babelkit import sampler as S
 
@@ -197,14 +197,17 @@ def cmd_gradlab(args):
         cfg_path = args.config or bundled_path("configs/gradlab_default.json")
         obj = _load_json(cfg_path)
         h = obj["hessian"]
+        checks.config_number("hessian angle_degrees", h["angle_degrees"])
         spec = gradlab.HessianSpec.build(
-            int(h["dim"]),
+            h["dim"],
             h["det_eigs"],
             h["align_eigs"],
-            math.radians(float(h["angle_degrees"])),
+            math.radians(h["angle_degrees"]),
             tuple(h.get("plane", (0, 1))),
         )
-        lambdas = [float(x) for x in obj["lambdas"]]
+        for lam in obj["lambdas"]:
+            checks.config_number("lambda", lam, 0)
+        lambdas = [float(lam) for lam in obj["lambdas"]]
         stability = obj["stability"]
         base = gradlab.RunConfig.from_dict(stability["base"])
         P.check_pretrain_inputs(base.align)  # the two-stage runs pretrain it

@@ -198,6 +198,9 @@ class HessianSpec:
 
     @classmethod
     def build(cls, dim, det_eigs, align_eigs, angle, plane=(0, 1)):
+        config_int("hessian dim", dim, 1)
+        for eig in (*det_eigs, *align_eigs):
+            config_number("hessian eigenvalue", eig)
         det_eigs = np.asarray(det_eigs, dtype=np.float64)
         align_eigs = np.asarray(align_eigs, dtype=np.float64)
         if det_eigs.shape != (dim,) or align_eigs.shape != (dim,):
@@ -416,6 +419,8 @@ def check_prop3_inputs(config, seeds):
         raise ValueError("need at least 3 seeds")
     for seed in seeds:
         config_int("prop3 seed", seed, 0)
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"prop3 seeds must be distinct, got {list(seeds)}")
 
 
 def proposition3_experiment(config, seeds):

@@ -10,6 +10,7 @@ when the layers live on a DiffTape; plain arrays work too.
 
 from dataclasses import dataclass
 
+from babelkit.checks import config_int
 from babelkit.tape import Tensor, add, mul
 
 # ViT-Large configuration the defaults mirror: 24 blocks, fusing layers
@@ -36,13 +37,13 @@ class SelectedSet:
     indices: tuple = (3, 9, 18, 24)
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(self.indices)
         if not idx:
             raise ValueError("selected set must be non-empty")
+        for i in idx:
+            config_int("1-based selected index", i, 1)
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError(f"indices must be strictly increasing, got {idx}")
-        if idx[0] < 1:
-            raise ValueError("indices are 1-based; smallest allowed is 1")
         object.__setattr__(self, "indices", idx)
 
     def validate_for(self, layer_count):

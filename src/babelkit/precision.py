@@ -10,6 +10,7 @@ Every other grid goes through ``_round_to_grid``, a round-to-nearest-even
 in numpy that gives the same values as that round trip on the FP16 grid.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +59,22 @@ EXACT = PrecisionMode(mantissa_bits=52, exponent_min=-1022, exponent_max=1023)
 FP16 = PrecisionMode(mantissa_bits=10, exponent_min=-14, exponent_max=15)
 
 
+def rounding(mode):
+    """The function that rounds a float64 array (or numpy scalar) onto
+    ``mode``'s grid and returns a new one, or None when ``mode`` is exact.
+
+    FP16 rounds by numpy's float16 round trip, every other grid by
+    ``_round_to_grid``. The returned function enters no ``np.errstate``:
+    overflow to +-inf is the emulated behaviour, so the caller holds one
+    that ignores it.
+    """
+    if mode.is_exact:
+        return None
+    if mode == FP16:
+        return _float16_round_trip
+    return functools.partial(_round_to_grid, mode=mode)
+
+
 def quantize_array(x, mode):
     """Round each element of ``x`` to the nearest value representable under
     ``mode``. Returns a new float64 array (or ``x`` itself in exact mode).
@@ -66,20 +83,22 @@ def quantize_array(x, mode):
     and infinities pass through. Non-finiteness is data here, not an error.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if mode.is_exact:
+    round_ = rounding(mode)
+    if round_ is None:
         return arr
-    if mode == FP16:
-        # overflow to +-inf is the emulated behaviour, not a fault
-        with np.errstate(over="ignore"):
-            return arr.astype(np.float16).astype(np.float64)
-    return _round_to_grid(arr, mode)
+    with np.errstate(over="ignore"):
+        return round_(arr)
+
+
+def _float16_round_trip(arr):
+    return arr.astype(np.float16).astype(np.float64)
 
 
 def _round_to_grid(arr, mode):
     """Round-to-nearest-even onto ``mode``'s grid; returns a new array.
     Zeros, NaN and infinities are left as they are."""
     mb = mode.mantissa_bits
-    out = arr.copy()
+    out = np.array(arr, dtype=np.float64)
     work = (out != 0.0) & np.isfinite(out)
     v = out[work]
     m, e = np.frexp(v)

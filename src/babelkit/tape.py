@@ -2,13 +2,17 @@
 
 Primitive set: matmul, add, mul, mean, relu, softmax, log, gather, plus
 reshape as a structural (data-movement) node. On a reduced-precision tape
-every primitive's output is quantized under the tape's PrecisionMode, as
-are accumulated gradients, so reduced-precision training failures are
-reproducible. An exact (float64) tape does not round at all.
+every primitive's output is rounded under the tape's PrecisionMode, as are
+gradient contributions and their sums, so reduced-precision training
+failures are reproducible. The tape resolves its rounding function once
+(``precision.rounding``) and applies it inside each primitive's errstate;
+an exact (float64) tape does not round at all. ``precision.quantize_array``
+is the public, self-contained entry to the same rounding.
 
 Leaves are the trainable parameters (``DiffTape.parameter``); backward
 returns a gradient for each. Every operand that does not train (a plain
-array, a tape-free Tensor) is a constant, and gradient flow stops there.
+array, a tape-free Tensor) is a constant: gradient flow stops there, and
+backward computes no contribution toward it.
 
 Tensors are immutable values; a tape is single-threaded and replayable.
 Primitive arithmetic, forward, backward and replay, runs under
@@ -74,7 +78,7 @@ class DiffTape:
 
     def __init__(self, mode=EXACT):
         self.mode = mode
-        self._rounds = not mode.is_exact  # an exact tape never quantizes
+        self._round = precision.rounding(mode)  # None: an exact tape never rounds
         self.nodes = []
         self.parameters = {}  # name -> node id of the leaf
 
@@ -98,10 +102,8 @@ class DiffTape:
 
     # -- recording ---------------------------------------------------------
 
-    def _record(self, op, input_tensors, attrs, raw_output):
-        if self._rounds:
-            raw_output = precision.quantize_array(raw_output, self.mode)
-        out = Tensor(raw_output, self, len(self.nodes))
+    def _record(self, op, input_tensors, attrs, output):
+        out = Tensor(output, self, len(self.nodes))
         self.nodes.append(Node(op, tuple(t.node for t in input_tensors), attrs, out.data))
         return out
 
@@ -129,38 +131,39 @@ class DiffTape:
 
         Returns {name: ndarray} with the parameter's shape; parameters the
         output does not depend on get zeros. On a reduced-precision tape
-        every gradient contribution and every accumulated sum is quantized
-        under the tape's mode.
+        every gradient contribution and every accumulated sum is rounded
+        under the tape's mode. No contribution toward a constant is computed.
         """
         if not isinstance(output, Tensor) or output.tape is not self or output.node is None:
             raise NotOnTapeError("output was not recorded on this tape")
         if output.data.shape != ():
             raise ShapeError("backward", output.data.shape)
 
-        rounds, mode = self._rounds, self.mode
+        nodes, round_ = self.nodes, self._round
         grads = {output.node: np.ones(())}
         with np.errstate(all="ignore"):
             for node_id in range(output.node, -1, -1):
                 g = grads.get(node_id)
                 if g is None:
                     continue
-                node = self.nodes[node_id]
+                node = nodes[node_id]
                 if node.op in ("leaf", "const"):
                     continue  # a leaf's gradient stays in grads for the result
                 del grads[node_id]
-                vjp = _VJPS[node.op]
-                inputs = [self.nodes[i].output for i in node.inputs]
-                contribs = vjp(g, node.output, inputs, node.attrs)
-                for in_id, contrib in zip(node.inputs, contribs):
-                    if self.nodes[in_id].op == "const":
-                        continue  # gradient flow stops at constants
-                    if rounds:
-                        contrib = precision.quantize_array(contrib, mode)
+                # gradient flow stops at constants: their side is not computed
+                wanted = [nodes[i].op != "const" for i in node.inputs]
+                inputs = [nodes[i].output for i in node.inputs]
+                contribs = _VJPS[node.op](g, node.output, inputs, node.attrs, wanted)
+                for in_id, want, contrib in zip(node.inputs, wanted, contribs):
+                    if not want:
+                        continue
+                    if round_ is not None:
+                        contrib = round_(contrib)
                     prev = grads.get(in_id)
                     if prev is not None:
                         contrib = prev + contrib
-                        if rounds:
-                            contrib = precision.quantize_array(contrib, mode)
+                        if round_ is not None:
+                            contrib = round_(contrib)
                     grads[in_id] = contrib
 
         result = {}
@@ -186,8 +189,9 @@ class DiffTape:
                 continue
             inputs = [values[i] for i in node.inputs]
             with np.errstate(all="ignore"):
-                raw = _FORWARDS[node.op](inputs, node.attrs)
-            out = precision.quantize_array(raw, self.mode) if self._rounds else np.asarray(raw)
+                out = _FORWARDS[node.op](inputs, node.attrs)
+                if self._round is not None:
+                    out = self._round(out)
             values.append(out)
             if out.tobytes() != node.output.tobytes():
                 ok = False
@@ -215,10 +219,12 @@ def _apply(op, attrs, *xs):
     if tape is not None:
         xs = [tape._lift(x) for x in xs]
     with np.errstate(all="ignore"):
-        raw = _FORWARDS[op]([_plain(x) for x in xs], attrs)
+        out = _FORWARDS[op]([_plain(x) for x in xs], attrs)
+        if tape is not None and tape._round is not None:
+            out = tape._round(out)
     if tape is None:
-        return Tensor(raw)
-    return tape._record(op, xs, attrs, raw)
+        return Tensor(out)
+    return tape._record(op, xs, attrs, out)
 
 
 def _fw_matmul(inputs, attrs):
@@ -309,22 +315,37 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _vjp_matmul(g, out, inputs, attrs):
+# A VJP returns one contribution per input; ``wanted`` flags the inputs
+# that are not constants. The binary VJPs leave an unwanted slot None and
+# skip its arithmetic; the unary ones ignore ``wanted``, and backward drops
+# the contribution toward a constant operand.
+
+
+def _vjp_matmul(g, out, inputs, attrs, wanted):
     a, b = inputs
-    return g @ b.T, a.T @ g
+    want_a, want_b = wanted
+    return (g @ b.T if want_a else None), (a.T @ g if want_b else None)
 
 
-def _vjp_add(g, out, inputs, attrs):
+def _vjp_add(g, out, inputs, attrs, wanted):
     a, b = inputs
-    return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+    want_a, want_b = wanted
+    return (
+        _unbroadcast(g, a.shape) if want_a else None,
+        _unbroadcast(g, b.shape) if want_b else None,
+    )
 
 
-def _vjp_mul(g, out, inputs, attrs):
+def _vjp_mul(g, out, inputs, attrs, wanted):
     a, b = inputs
-    return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
+    want_a, want_b = wanted
+    return (
+        _unbroadcast(g * b, a.shape) if want_a else None,
+        _unbroadcast(g * a, b.shape) if want_b else None,
+    )
 
 
-def _vjp_mean(g, out, inputs, attrs):
+def _vjp_mean(g, out, inputs, attrs, wanted):
     (a,) = inputs
     axis = attrs.get("axis")
     if axis is None:
@@ -335,21 +356,21 @@ def _vjp_mean(g, out, inputs, attrs):
     return (np.broadcast_to(g / n, a.shape),)
 
 
-def _vjp_relu(g, out, inputs, attrs):
+def _vjp_relu(g, out, inputs, attrs, wanted):
     return (g * (inputs[0] > 0),)
 
 
-def _vjp_softmax(g, out, inputs, attrs):
+def _vjp_softmax(g, out, inputs, attrs, wanted):
     axis = attrs.get("axis", -1)
     dot = np.sum(g * out, axis=axis, keepdims=True)
     return ((g - dot) * out,)
 
 
-def _vjp_log(g, out, inputs, attrs):
+def _vjp_log(g, out, inputs, attrs, wanted):
     return (g / inputs[0],)
 
 
-def _vjp_gather(g, out, inputs, attrs):
+def _vjp_gather(g, out, inputs, attrs, wanted):
     a = inputs[0]
     idx = attrs["indices"]
     axis = attrs.get("axis", 0)
@@ -361,7 +382,7 @@ def _vjp_gather(g, out, inputs, attrs):
     return (grad,)
 
 
-def _vjp_reshape(g, out, inputs, attrs):
+def _vjp_reshape(g, out, inputs, attrs, wanted):
     return (np.asarray(g).reshape(inputs[0].shape),)
 
 

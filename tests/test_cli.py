@@ -257,6 +257,15 @@ class TestGradlabConfigErrors:
         pytest.param(
             {"hessian.dim": 0, "hessian.det_eigs": [], "hessian.align_eigs": []}, id="dim-0"
         ),
+        pytest.param({"prop3.seeds": [0, 0, 0]}, id="prop3-seeds-repeated"),
+        pytest.param({"hessian.dim": 6.5}, id="dim-float"),
+        pytest.param({"hessian.angle_degrees": True}, id="angle-bool"),
+        pytest.param(
+            {"hessian.det_eigs": [10.0, 5.0, 2.0, 1.0, 0.5, True]}, id="eigenvalue-bool"
+        ),
+        pytest.param({"hessian.align_eigs": [100.0] + ["0.001"] * 5}, id="eigenvalue-string"),
+        pytest.param({"lambdas": [0.0, True]}, id="lambda-bool"),
+        pytest.param({"lambdas": [-1.0]}, id="lambda-negative"),
     ])
     def test_bad_field_exit_2_before_any_work(self, tmp_path, capsys, updates):
         with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:

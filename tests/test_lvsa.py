@@ -44,6 +44,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             SelectedSet((0, 2))
 
+    def test_selected_set_rejects_non_integer_index(self):
+        for indices in ((1.7, 2), (True, 2), (1, "2")):
+            with pytest.raises(ValueError, match="integer"):
+                SelectedSet(indices)
+
     def test_final_layer_membership(self):
         with pytest.raises(ValueError, match="final layer"):
             SelectedSet((1, 2)).validate_for(3)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from babelkit import tape as T
 from babelkit.precision import (
     EXACT,
     FP16,
@@ -168,3 +169,15 @@ class TestKernelEquivalence:
         assert np.all(out[tiny] == 0.0)
         assert quantize_scalar(math.ldexp(1.0, -24), flush) == 0.0
         assert quantize_scalar(math.ldexp(1.0, -24), FP16) == math.ldexp(1.0, -24)
+
+    @pytest.mark.parametrize("mode", PROPERTY_MODES, ids=["fp16", "grid"])
+    def test_tape_rounds_numpy_scalars(self, mode):
+        # a full mean's forward returns a numpy scalar, which the tape's
+        # rounding gets as it is
+        tp = T.DiffTape(mode)
+        x = tp.parameter([1.0, 1.0001, 3.3], "x")
+        out = T.mean(x)
+        assert out.item() == quantize_scalar(float(np.mean(x.data)), mode)
+        grad = tp.backward(out)["x"]
+        assert grad.tobytes() == quantize_array(np.full(3, 1 / 3), mode).tobytes()
+        assert tp.replay()

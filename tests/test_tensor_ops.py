@@ -228,37 +228,90 @@ class TestReplayAndPrecision:
 
 def _align_step(mode):
     """One training step of the bundled alignment setup on a ``mode`` tape:
-    loss, backward and replay."""
+    loss, backward and replay. Returns the tape and the gradients."""
     config = P.AlignConfig()
     vocab, gens, pivot, encoder = P.build_world(config)
     tp = DiffTape(mode)
     batch = P.training_batch(vocab, gens, config, 0)
     loss = P.batch_loss(encoder.register(tp), encoder, pivot, batch, encoder.alpha_at(0))
-    ops = sum(node.op not in ("leaf", "const") for node in tp.nodes)
     grads = tp.backward(loss)
     assert tp.replay()
-    return ops, grads
+    return tp, grads
+
+
+def _on_fp16_grid(x):
+    """True iff ``x`` equals its own float16 round trip bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    return x.astype(np.float16).astype(np.float64).tobytes() == x.tobytes()
 
 
 class TestExactTapeNeverRounds:
     def test_exact_step_makes_no_quantize_call(self, monkeypatch):
-        def refuse(x, mode):
+        def refuse(*args, **kwargs):
             raise AssertionError("an exact tape quantized")
 
-        monkeypatch.setattr(precision, "quantize_array", refuse)
+        # every function precision.rounding can hand a tape, and the public entry
+        for name in ("quantize_array", "_float16_round_trip", "_round_to_grid"):
+            monkeypatch.setattr(precision, name, refuse)
         _, grads = _align_step(precision.EXACT)
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
-    def test_fp16_step_still_quantizes(self, monkeypatch):
-        calls = []
-        real = precision.quantize_array
+    def test_fp16_step_still_quantizes(self):
+        assert _on_fp16_grid([np.nan, np.inf, -np.inf, 0.5])
+        assert not _on_fp16_grid([1.0001])
+        tp, grads = _align_step(FP16)
+        ops = [node for node in tp.nodes if node.op not in ("leaf", "const")]
+        assert ops
+        assert all(_on_fp16_grid(node.output) for node in ops)
+        assert all(_on_fp16_grid(g) for g in grads.values())
 
-        def counting(x, mode):
-            calls.append(mode)
-            return real(x, mode)
 
-        monkeypatch.setattr(precision, "quantize_array", counting)
-        ops, _ = _align_step(FP16)
-        # one call per recorded primitive, then more in backward and replay
-        assert len(calls) > 2 * ops
-        assert set(calls) == {FP16}
+_ROW = np.array([0.5, -1.5, 2.0])
+_MAT = np.arange(12.0).reshape(3, 4) / 5
+
+
+class TestNoGradientTowardConstants:
+    """A binary primitive with one constant operand: backward computes only
+    the parameter's side, and that side matches finite differences."""
+
+    CASES = [
+        ("matmul", lambda x: T.matmul(x, _MAT), 1, (2, 3)),
+        ("matmul", lambda x: T.matmul(_MAT.T, x), 0, (3, 2)),
+        ("add", lambda x: T.add(x, 1.5), 1, (2, 3)),
+        ("add", lambda x: T.add(1.5, x), 0, (2, 3)),
+        ("add", lambda x: T.add(x, _ROW), 1, (2, 3)),
+        ("add", lambda x: T.add(_ROW, x), 0, (2, 3)),
+        ("mul", lambda x: T.mul(x, -1.0), 1, (2, 3)),
+        ("mul", lambda x: T.mul(-1.0, x), 0, (2, 3)),
+        ("mul", lambda x: T.mul(x, _ROW), 1, (2, 3)),
+        ("mul", lambda x: T.mul(_ROW, x), 0, (2, 3)),
+    ]
+    IDS = [
+        "matmul-const-right", "matmul-const-left",
+        "add-scalar-right", "add-scalar-left", "add-broadcast-right", "add-broadcast-left",
+        "mul-scalar-right", "mul-scalar-left", "mul-broadcast-right", "mul-broadcast-left",
+    ]
+
+    @pytest.mark.parametrize("op,f,const_side,shape", CASES, ids=IDS)
+    def test_constant_side_not_computed(self, monkeypatch, op, f, const_side, shape):
+        real = T._VJPS[op]
+        seen = []
+
+        def spy(*args):
+            contribs = real(*args)
+            seen.append(contribs)
+            return contribs
+
+        monkeypatch.setitem(T._VJPS, op, spy)
+
+        def program(x):
+            return T.mean(T.log(T.softmax(f(x))))
+
+        point = np.random.default_rng(7).standard_normal(shape)
+        tp = DiffTape()
+        g = tp.backward(program(tp.parameter(point, "x")))
+        assert set(g) == {"x"}
+        [contribs] = seen
+        assert contribs[const_side] is None
+        assert contribs[1 - const_side] is not None
+        assert finite_diff_check(program, point) < 1e-4
