@@ -1,7 +1,9 @@
 """Numerical verification utilities: central-difference gradient checking,
-power-iteration extreme-eigenvalue estimation, and the field checks that
-configs run before any work."""
+power-iteration extreme-eigenvalue estimation, and the config loader and
+field checks that configs run before any work."""
 
+import json
+import math
 import numbers
 
 import numpy as np
@@ -18,6 +20,30 @@ class PowerIterationError(RuntimeError):
         super().__init__(f"no convergence after {iters} iterations (residual {residual:g})")
         self.residual = residual
         self.iters = iters
+
+
+def load_config(path):
+    """A config file; NaN, Infinity and numbers that overflow to inf are
+    config errors (ValueError), not values to train with."""
+
+    def finite(text):
+        v = float(text)
+        if not math.isfinite(v):
+            raise ValueError(f"{path}: non-finite number {text}")
+        return v
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_float=finite, parse_constant=finite)
+
+
+def config_keys(name, obj, known):
+    """ValueError unless ``obj`` is a JSON object whose keys are all in
+    ``known``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be an object, got {obj!r}")
+    extra = set(obj) - set(known)
+    if extra:
+        raise ValueError(f"unknown {name} keys: {sorted(extra)}")
 
 
 def config_int(name, value, low, high=None):

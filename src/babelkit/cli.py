@@ -75,20 +75,6 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _load_json(path):
-    """A config file; NaN, Infinity and numbers that overflow to inf are
-    config errors (ValueError), not values to train with."""
-
-    def finite(text):
-        v = float(text)
-        if not math.isfinite(v):
-            raise ValueError(f"{path}: non-finite number {text}")
-        return v
-
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_float=finite, parse_constant=finite)
-
-
 def bundled_path(name):
     return os.path.join(os.path.dirname(__file__), name)
 
@@ -145,7 +131,7 @@ def cmd_align(args):
     t0 = time.time()
     try:
         cfg_path = args.config or bundled_path("configs/align_default.json")
-        obj = _load_json(cfg_path)
+        obj = checks.load_config(cfg_path)
         if args.seed is not None:
             obj["seed"] = args.seed
         config = P.AlignConfig.from_dict(obj)
@@ -195,8 +181,14 @@ def cmd_gradlab(args):
     t0 = time.time()
     try:
         cfg_path = args.config or bundled_path("configs/gradlab_default.json")
-        obj = _load_json(cfg_path)
+        obj = checks.load_config(cfg_path)
+        checks.config_keys(
+            "gradlab config", obj, ("hessian", "lambdas", "stability", "prop3", "gradient_report")
+        )
         h = obj["hessian"]
+        checks.config_keys(
+            "hessian", h, ("dim", "det_eigs", "align_eigs", "angle_degrees", "plane")
+        )
         checks.config_number("hessian angle_degrees", h["angle_degrees"])
         spec = gradlab.HessianSpec.build(
             h["dim"],
@@ -209,12 +201,14 @@ def cmd_gradlab(args):
             checks.config_number("lambda", lam, 0)
         lambdas = [float(lam) for lam in obj["lambdas"]]
         stability = obj["stability"]
+        checks.config_keys("stability", stability, ("base", "precisions"))
         base = gradlab.RunConfig.from_dict(stability["base"])
         P.check_pretrain_inputs(base.align)  # the two-stage runs pretrain it
         precisions = list(stability["precisions"])
         for p in precisions:
             gradlab.resolve_precision(p)
         prop3 = obj["prop3"]
+        checks.config_keys("prop3", prop3, ("align", "pretrain_steps", "lr", "seeds"))
         p3_run = gradlab.RunConfig(
             align=P.AlignConfig.from_dict(prop3["align"]),
             pretrain_steps=prop3["pretrain_steps"],
@@ -222,6 +216,7 @@ def cmd_gradlab(args):
         )
         p3_seeds = list(prop3["seeds"])
         gradlab.check_prop3_inputs(p3_run, p3_seeds)
+        checks.config_keys("gradient_report", obj["gradient_report"], ("align",))
         report_align = P.AlignConfig.from_dict(obj["gradient_report"]["align"])
     except (KeyError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -244,7 +239,16 @@ def cmd_gradlab(args):
         "late_lam0": (gradlab.run_late_alignment, lam0),
         "two_stage": (gradlab.run_two_stage, base),
     }
-    rows = gradlab.amp_stress(runs, precisions, trace_dir=args.out)
+    rows = gradlab.amp_stress(runs, precisions)
+    for r in rows:
+        trace_path = os.path.join(args.out, f"trace_{r['config']}_{r['precision']}.csv")
+        _write_csv(
+            trace_path,
+            [("step", "loss", "grad_norm", "alpha")]
+            + [(t.step, repr(t.loss), repr(t.grad_norm), repr(t.alpha))
+               for t in r["trace"].records],
+        )
+        outputs.append(trace_path)
     table_path = os.path.join(args.out, "stability_table.csv")
     _write_csv(
         table_path,
@@ -259,11 +263,6 @@ def cmd_gradlab(args):
         ],
     )
     outputs.append(table_path)
-    outputs += [
-        os.path.join(args.out, f"trace_{name}_{prec}.csv")
-        for name in runs
-        for prec in precisions
-    ]
 
     vocab, gens, _, encoder = P.build_world(report_align)
     report_cfg = gradlab.RunConfig(align=report_align)

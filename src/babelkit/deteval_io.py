@@ -95,7 +95,13 @@ def load_ground_truth(path):
 def load_registry(path):
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    modalities = obj.get("modalities")
+    modalities = obj.get("modalities") if isinstance(obj, dict) else None
     if not isinstance(modalities, dict):
         raise ValueError(f"{path}: top-level 'modalities' object required")
+    for modality, cats in modalities.items():
+        if not (isinstance(cats, list) and cats and all(isinstance(c, str) and c for c in cats)):
+            raise ValueError(
+                f"{path}: modality {modality!r} must map to a non-empty list of "
+                f"non-empty category names, got {cats!r}"
+            )
     return ModalityRegistry(modalities)

@@ -10,7 +10,6 @@ encoder with the language-pivoted objective first, then fine-tunes on
 detection only.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -18,8 +17,8 @@ import numpy as np
 
 from babelkit import pivot as P
 from babelkit import tape as T
-from babelkit.checks import config_int, config_number, power_iteration_extremes
-from babelkit.precision import EXACT, FP16, PrecisionMode
+from babelkit.checks import config_int, config_keys, config_number, power_iteration_extremes
+from babelkit.precision import EXACT, FP16
 from babelkit.tape import DiffTape
 
 DIVERGENCE_LOSS_LIMIT = 1e12
@@ -28,8 +27,6 @@ PRECISION_MODES = {"exact": EXACT, "fp16": FP16}
 
 
 def resolve_precision(spec):
-    if isinstance(spec, PrecisionMode):
-        return spec
     try:
         return PRECISION_MODES[spec]
     except KeyError:
@@ -115,12 +112,11 @@ class DetectionTask:
     The dataset is one image per concept, stacked once as a (C, image_dim)
     batch with its (C, 4) box targets."""
 
-    def __init__(self, modality, generator, vocab, encoder, targets, head, alpha=1.0):
+    def __init__(self, modality, generator, vocab, encoder, targets, head):
         if not vocab.concepts:
             raise ValueError("task dataset is empty")
         self.modality = modality
         self.encoder = encoder
-        self.alpha = alpha
         self.head = np.asarray(head, dtype=np.float64)  # (embed_dim, 4)
         images, boxes = [], []
         for c in vocab.concepts:
@@ -137,7 +133,7 @@ class DetectionTask:
         """(scalar loss, (1, embed_dim) mean feature tensor) for the full
         dataset: the loss is mean((f @ head - Y)^2) over the (C, 4) block,
         f the (C, embed_dim) mean visual tokens."""
-        z = self.encoder.encode(params, self.images, self.alpha)
+        z = self.encoder.encode(params, self.images, 1.0)
         f = T.mean(z, axis=1)  # (C, embed_dim)
         err = T.add(T.matmul(f, head_tensor), T.mul(tp.constant(self.targets), -1.0))
         return T.mean(T.mul(err, err)), T.mean(f, axis=0, keepdims=True)
@@ -148,14 +144,14 @@ class DetectionTask:
         return loss
 
 
-def per_modality_gradients(encoder, tasks, mode=EXACT):
+def per_modality_gradients(encoder, tasks):
     """Full-batch detection gradients per modality over the shared encoder
     parameters, with the norm-decomposition report."""
     if not tasks:
         raise ValueError("tasks must be non-empty")
     grads = {}
     for task in tasks:
-        tp = DiffTape(mode)
+        tp = DiffTape()
         params = encoder.register(tp)
         loss = task.loss(params, tp)
         g = tp.backward(loss)
@@ -169,7 +165,7 @@ def per_modality_gradients(encoder, tasks, mode=EXACT):
 # -- Hessian conditioning lab ------------------------------------------------
 
 
-def _rotation(dim, angle, plane=(0, 1)):
+def _rotation(dim, angle, plane):
     r = np.eye(dim)
     i, j = plane
     c, s = math.cos(angle), math.sin(angle)
@@ -266,13 +262,6 @@ class RunTrace:
     # stopped, or None (no stop, or a stop with a finite forward)
     first_nonfinite_op: object = None
 
-    def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "loss", "grad_norm", "alpha"])
-            for r in self.records:
-                w.writerow([r.step, repr(r.loss), repr(r.grad_norm), repr(r.alpha)])
-
 
 @dataclass
 class RunConfig:
@@ -296,13 +285,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj):
+        config_keys("run config", obj, cls.__dataclass_fields__)
         obj = dict(obj)
         if "align" in obj:
             obj["align"] = P.AlignConfig.from_dict(obj["align"])
-        known = set(cls.__dataclass_fields__)
-        extra = set(obj) - known
-        if extra:
-            raise ValueError(f"unknown run config keys: {sorted(extra)}")
         return cls(**obj)
 
 
@@ -402,8 +388,8 @@ def run_two_stage(config):
     """Language-pivoted pretraining (exact precision), then detection-only
     fine-tuning under the configured precision."""
     mode = resolve_precision(config.precision)
-    vocab, gens, _, _ = P.build_world(config.align)
-    encoder, _ = P.pretrain_align(replace(config.align, steps=config.pretrain_steps))
+    vocab, gens, _, encoder = P.build_world(config.align)
+    P.pretrain_align(replace(config.align, steps=config.pretrain_steps), encoder=encoder)
     tasks = build_detection_tasks(config, encoder, vocab, gens)
     return _finetune(encoder, tasks, config.steps, config.lr, mode, 0.0)
 
@@ -435,11 +421,10 @@ def proposition3_experiment(config, seeds):
         vocab, gens, _, encoder = P.build_world(align)
         tasks = build_detection_tasks(cfg, encoder, vocab, gens)
         pre = per_modality_gradients(encoder, tasks).mean_cosine()
-        trained, _ = P.pretrain_align(
-            replace(align, steps=config.pretrain_steps, lr=config.lr)
+        P.pretrain_align(
+            replace(align, steps=config.pretrain_steps, lr=config.lr), encoder=encoder
         )
-        tasks_post = build_detection_tasks(cfg, trained, vocab, gens)
-        post = per_modality_gradients(trained, tasks_post).mean_cosine()
+        post = per_modality_gradients(encoder, tasks).mean_cosine()
         per_seed.append({"seed": int(seed), "pre": pre, "post": post})
     return {
         "per_seed": per_seed,
@@ -451,10 +436,10 @@ def proposition3_experiment(config, seeds):
 # -- reduced-precision stress harness ----------------------------------------
 
 
-def amp_stress(configs, precisions, trace_dir=None):
+def amp_stress(configs, precisions):
     """Run each named config under each precision mode; returns table rows
     {config, precision, verdict, first_nonfinite_step, max_grad_norm,
-    first_nonfinite_op} and optionally writes per-run trajectory CSVs."""
+    first_nonfinite_op, trace}, ``trace`` being the run's RunTrace."""
     rows = []
     for name, (runner, cfg) in configs.items():
         for prec in precisions:
@@ -469,8 +454,7 @@ def amp_stress(configs, precisions, trace_dir=None):
                     "first_nonfinite_step": trace.first_nonfinite_step,
                     "max_grad_norm": max(finite_norms) if finite_norms else math.nan,
                     "first_nonfinite_op": trace.first_nonfinite_op,
+                    "trace": trace,
                 }
             )
-            if trace_dir is not None:
-                trace.write_csv(f"{trace_dir}/trace_{name}_{prec}.csv")
     return rows

@@ -32,7 +32,7 @@ import numpy as np
 
 from babelkit import lvsa
 from babelkit import tape as T
-from babelkit.checks import config_int, config_number
+from babelkit.checks import config_int, config_keys, config_number
 from babelkit.lvsa import AnnealSchedule, FeaturePyramid, SelectedSet, anneal_alpha
 from babelkit.tape import DiffTape
 
@@ -327,10 +327,7 @@ class AlignConfig:
 
     @classmethod
     def from_dict(cls, obj):
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(obj) - known
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
+        config_keys("config", obj, cls.__dataclass_fields__)
         obj = dict(obj)
         for key in ("concepts", "modalities", "lvsa_selected"):
             if key in obj:

@@ -6,10 +6,11 @@ expected counts, and a seeded epoch sampler.
 contributes Binomial(n, r) samples with mean n * r.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from babelkit.checks import config_int, config_keys, config_number, load_config
 
 TASKS = ("VQA", "VG", "Caption", "CLS")
 
@@ -22,12 +23,16 @@ class RecipeEntry:
     tasks: tuple
 
     def __post_init__(self):
-        if self.size <= 0:
-            raise ValueError(f"{self.name}: size must be positive, got {self.size}")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"dataset name must be a non-empty string, got {self.name!r}")
+        config_int(f"{self.name}: size", self.size, 1)
+        config_number(f"{self.name}: sample_rate", self.sample_rate)
         if not 0.0 <= self.sample_rate <= 1.0:
             raise ValueError(
                 f"{self.name}: sample_rate must be in [0, 1], got {self.sample_rate}"
             )
+        if isinstance(self.tasks, str):
+            raise ValueError(f"{self.name}: tasks must be a list, got {self.tasks!r}")
         tasks = tuple(self.tasks)
         if not tasks:
             raise ValueError(f"{self.name}: at least one task required")
@@ -43,6 +48,7 @@ class MixtureRecipe:
     seed: int = 0
 
     def __post_init__(self):
+        config_int("recipe seed", self.seed, 0)
         entries = tuple(self.entries)
         if not entries:
             raise ValueError("recipe needs at least one entry")
@@ -54,25 +60,16 @@ class MixtureRecipe:
 
     @classmethod
     def from_dict(cls, obj):
+        config_keys("recipe", obj, cls.__dataclass_fields__)
         entries = []
         for row in obj["entries"]:
-            tasks = row["tasks"]
-            if isinstance(tasks, str):
-                tasks = tuple(t.strip() for t in tasks.split(","))
-            entries.append(
-                RecipeEntry(
-                    name=row["name"],
-                    size=int(row["size"]),
-                    sample_rate=float(row["sample_rate"]),
-                    tasks=tuple(tasks),
-                )
-            )
-        return cls(entries=tuple(entries), seed=int(obj.get("seed", 0)))
+            config_keys("recipe entry", row, RecipeEntry.__dataclass_fields__)
+            entries.append(RecipeEntry(**row))
+        return cls(entries=tuple(entries), seed=obj.get("seed", 0))
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_config(path))
 
 
 def expected_counts(recipe):

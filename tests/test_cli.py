@@ -113,6 +113,25 @@ class TestEval:
         assert run(["eval", "--gt", gt, "--det", str(bad), "--registry", reg, "--out", str(out)]) == 2
         assert "bad.jsonl:1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("registry", [
+        pytest.param([{"modalities": {"sar": ["a", "b"]}}], id="top-level-list"),
+        pytest.param({"modalities": {"sar": "ab"}}, id="categories-string"),
+        pytest.param({"modalities": {"sar": ["a", "b", ""]}}, id="category-empty"),
+        pytest.param({"modalities": {"sar": ["a", "b", 7]}}, id="category-number"),
+    ])
+    def test_bad_registry_exit_2(self, tmp_path, capsys, registry):
+        # scored, "ab" would be the categories a and b: mAP=100.00
+        reg = tmp_path / "registry.json"
+        reg.write_text(json.dumps(registry), encoding="utf-8")
+        gts = [{"image_id": "i", "category": c, "bbox": [0, 0, 5, 5]} for c in "ab"]
+        gt = write_jsonl(tmp_path / "gt.jsonl", gts)
+        det = write_jsonl(tmp_path / "det.jsonl", [{**g, "score": 0.9} for g in gts])
+        out = tmp_path / "out"
+        argv = ["eval", "--gt", gt, "--det", det, "--registry", str(reg), "--out", str(out)]
+        assert run(argv) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_reproducible(self, fixture_dir, capsys):
         tmp_path, reg, gt, det, _ = fixture_dir
         outs = []
@@ -266,6 +285,11 @@ class TestGradlabConfigErrors:
         pytest.param({"hessian.align_eigs": [100.0] + ["0.001"] * 5}, id="eigenvalue-string"),
         pytest.param({"lambdas": [0.0, True]}, id="lambda-bool"),
         pytest.param({"lambdas": [-1.0]}, id="lambda-negative"),
+        pytest.param({"lambda": [0.0]}, id="unknown-top-level-key"),
+        pytest.param({"hessian.plan": [0, 5]}, id="unknown-hessian-key"),
+        pytest.param({"stability.precision": "fp16"}, id="unknown-stability-key"),
+        pytest.param({"prop3.steps": 5}, id="unknown-prop3-key"),
+        pytest.param({"gradient_report.seed": 1}, id="unknown-gradient_report-key"),
     ])
     def test_bad_field_exit_2_before_any_work(self, tmp_path, capsys, updates):
         with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
@@ -310,6 +334,24 @@ class TestGradlabRun:
             if r[3] == "":
                 assert r[5] == ""
 
+    def test_rerun_byte_identical_and_manifest_lists_outputs(self, tmp_path, capsys):
+        with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg["stability"]["base"].update(steps=10, pretrain_steps=2)
+        cfg["prop3"].update(pretrain_steps=2, seeds=[0, 1, 2])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        runs = []
+        for name in ("o1", "o2"):
+            out = tmp_path / name
+            assert run(["gradlab", "--config", str(path), "--out", str(out)]) == 0
+            data = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            assert sorted(manifest["outputs"]) == sorted(str(out / n) for n in data)
+            runs.append((data, capsys.readouterr().out))
+        assert len(runs[0][0]) == 10  # sweep, table, 6 traces, gradient report, prop3
+        assert runs[0] == runs[1]
+
 
 class TestSample:
     def test_determinism_byte_identical(self, tmp_path, capsys):
@@ -341,6 +383,31 @@ class TestSample:
         assert run(["sample", "--recipe", str(recipe), "--seed", "0", "--out", str(out)]) == 0
         assert "expected=9.0 drawn=9" in capsys.readouterr().out
         assert len(out.read_text().strip().splitlines()) == 10
+
+    @pytest.mark.parametrize("recipe_updates, entry_updates", [
+        pytest.param({}, {"size": 1000.7}, id="size-float"),
+        pytest.param({}, {"size": True}, id="size-bool"),
+        pytest.param({}, {"size": "1000"}, id="size-string"),
+        pytest.param({}, {"size": float("inf")}, id="size-infinity"),
+        pytest.param({}, {"sample_rate": "0.5"}, id="sample_rate-string"),
+        pytest.param({}, {"name": 7}, id="name-number"),
+        pytest.param({}, {"name": ""}, id="name-empty"),
+        pytest.param({}, {"tasks": "Caption, CLS"}, id="tasks-comma-string"),
+        pytest.param({}, {"weight": 2}, id="unknown-entry-key"),
+        pytest.param({"seed": 1.9}, {}, id="seed-float"),
+        pytest.param({"sead": 3}, {}, id="unknown-recipe-key"),
+    ])
+    def test_bad_recipe_field_exit_2_no_csv(self, tmp_path, capsys, recipe_updates,
+                                            entry_updates):
+        entry = {"name": "a", "size": 1000, "sample_rate": 0.5, "tasks": ["VQA"], **entry_updates}
+        recipe = tmp_path / "r.json"
+        # json.dumps writes an infinite size as the literal Infinity
+        recipe.write_text(json.dumps({"seed": 0, "entries": [entry], **recipe_updates}),
+                          encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert run(["sample", "--recipe", str(recipe), "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_schema_error_exit_2(self, tmp_path, capsys):
         recipe = tmp_path / "r.json"

@@ -122,3 +122,17 @@ class TestLoadRegistry:
         p.write_text(json.dumps({"oops": {}}), encoding="utf-8")
         with pytest.raises(ValueError, match="modalities"):
             load_registry(str(p))
+
+    @pytest.mark.parametrize("registry", [
+        [{"modalities": {"sar": ["ship"]}}],
+        {"modalities": {"sar": "ab"}},
+        {"modalities": {"sar": []}},
+        {"modalities": {"sar": ["ship", ""]}},
+        {"modalities": {"sar": ["ship", 7]}},
+        {"modalities": {"sar": {"ship": 1}}},
+    ])
+    def test_bad_shape(self, tmp_path, registry):
+        p = tmp_path / "r.json"
+        p.write_text(json.dumps(registry), encoding="utf-8")
+        with pytest.raises(ValueError, match="r.json"):
+            load_registry(str(p))

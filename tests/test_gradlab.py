@@ -1,6 +1,8 @@
 import copy
+import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from babelkit import gradlab as G
 from babelkit import pivot as P
 from babelkit import tape as T
+from babelkit.cli import bundled_path, main
 from babelkit.tape import DiffTape
 
 
@@ -212,30 +215,44 @@ class TestRuns:
         with pytest.raises(ValueError, match="unknown"):
             G.RunConfig.from_dict({"nope": 1})
 
-    def test_trace_csv_row_count(self, tmp_path):
+    def test_trace_csv_row_count(self, tmp_path, capsys):
+        # a short gradlab run whose stability base is self._cfg(steps=8)
+        with open(bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg["stability"] = {
+            "base": {"align": {"antipodal_modalities": True, "seed": 0, "steps": 0},
+                     "steps": 8, "lr": 1e-3, "lam": 0.0, "target_scale": 1.0},
+            "precisions": ["exact"],
+        }
+        cfg["prop3"].update(pretrain_steps=2, seeds=[0, 1, 2])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["gradlab", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
         trace = G.run_late_alignment(self._cfg(steps=8))
-        path = tmp_path / "t.csv"
-        trace.write_csv(str(path))
-        lines = path.read_text().strip().splitlines()
+        lines = (out / "trace_late_exact.csv").read_text().strip().splitlines()
         assert lines[0] == "step,loss,grad_norm,alpha"
         assert len(lines) == 1 + len(trace.records) == 9
+        assert lines[1:] == [
+            f"{r.step},{r.loss!r},{r.grad_norm!r},{r.alpha!r}" for r in trace.records
+        ]
 
 
 class TestAmpStress:
-    def test_table_shape_and_exact_column(self, tmp_path):
+    def test_table_shape_and_exact_column(self):
         cfg = G.RunConfig(align=antipodal_align(), steps=6, lr=1e-3)
-        rows = G.amp_stress(
-            {"late": (G.run_late_alignment, cfg)},
-            ["exact", "fp16"],
-            trace_dir=str(tmp_path),
-        )
+        rows = G.amp_stress({"late": (G.run_late_alignment, cfg)}, ["exact", "fp16"])
         assert {(r["config"], r["precision"]) for r in rows} == {
             ("late", "exact"), ("late", "fp16")
         }
         exact_row = next(r for r in rows if r["precision"] == "exact")
         assert exact_row["verdict"] == "converged"
-        assert (tmp_path / "trace_late_exact.csv").exists()
-        assert (tmp_path / "trace_late_fp16.csv").exists()
+        for r in rows:
+            run = G.run_late_alignment(replace(cfg, precision=r["precision"]))
+            assert len(r["trace"].records) == 6
+            assert r["trace"].records == run.records
+            assert r["verdict"] == r["trace"].verdict
 
 
 class TestProposition3:
@@ -306,7 +323,7 @@ class TestDetectionTask:
         losses, feats = [], []
         for c in vocab.concepts:
             x = gens[task.modality].generate_sample(vocab, c).image
-            f = encoder.encode(encoder.params, x[None, :], task.alpha).data[0].mean(axis=0)
+            f = encoder.encode(encoder.params, x[None, :], 1.0).data[0].mean(axis=0)
             losses.append(np.mean((f @ task.head - targets[c]) ** 2))
             feats.append(f)
         tp = DiffTape()

@@ -215,11 +215,3 @@ def test_sample_csv_equals_reference_rows(tmp_path, capsys):
         f"{e['name']}: expected={e['size'] * e['sample_rate']:.1f} drawn={drawn[e['name']]}"
         for e in entries
     ]
-
-
-class TestFromDict:
-    def test_task_string_splitting(self):
-        recipe = MixtureRecipe.from_dict(
-            {"entries": [{"name": "a", "size": 5, "sample_rate": 1.0, "tasks": "Caption, CLS"}]}
-        )
-        assert recipe.entries[0].tasks == ("Caption", "CLS")
