@@ -17,7 +17,8 @@ class NonFiniteEvaluationError(ValueError):
 
 class PowerIterationError(RuntimeError):
     def __init__(self, residual, iters):
-        super().__init__(f"no convergence after {iters} iterations (residual {residual:g})")
+        msg = f"no convergence after {iters} iterations (residual {residual:g})"
+        super().__init__(f"power iteration: {msg}")
         self.residual = residual
         self.iters = iters
 
@@ -44,6 +45,13 @@ def config_keys(name, obj, known):
     extra = set(obj) - set(known)
     if extra:
         raise ValueError(f"unknown {name} keys: {sorted(extra)}")
+
+
+def config_field(name, obj, key):
+    """``obj[key]``, or a ValueError naming the object ``name`` and the key."""
+    if key not in obj:
+        raise ValueError(f"{name} is missing {key!r}")
+    return obj[key]
 
 
 def config_int(name, value, low, high=None):

@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,10 +89,10 @@ def cmd_eval(args):
         gts = deteval_io.load_ground_truth(args.gt)
         dets = deteval_io.load_detections(args.det)
         report = deteval.evaluate(dets, gts, registry, ap_mode=args.ap_mode)
+        os.makedirs(args.out, exist_ok=True)
     except (deteval_io.RecordError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "report.json")
     csv_path = os.path.join(args.out, "report.csv")
     _write_json(json_path, report.to_dict())
@@ -136,18 +136,14 @@ def cmd_align(args):
             obj["seed"] = args.seed
         config = P.AlignConfig.from_dict(obj)
         P.check_pretrain_inputs(config)
+        os.makedirs(args.out, exist_ok=True)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    os.makedirs(args.out, exist_ok=True)
 
     vocab, gens, pivot, encoder = P.build_world(config)
     pre = P.consistency_report(encoder, pivot, vocab, gens)
-    try:
-        encoder, trace = P.pretrain_align(config, encoder=encoder)
-    except P.NonFiniteLossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    encoder, trace = P.pretrain_align(config, encoder=encoder)
     post = P.consistency_report(encoder, pivot, vocab, gens)
 
     trace_path = os.path.join(args.out, "trace.csv")
@@ -180,106 +176,52 @@ def cmd_align(args):
 def cmd_gradlab(args):
     t0 = time.time()
     try:
-        cfg_path = args.config or bundled_path("configs/gradlab_default.json")
-        obj = checks.load_config(cfg_path)
-        checks.config_keys(
-            "gradlab config", obj, ("hessian", "lambdas", "stability", "prop3", "gradient_report")
-        )
-        h = obj["hessian"]
-        checks.config_keys(
-            "hessian", h, ("dim", "det_eigs", "align_eigs", "angle_degrees", "plane")
-        )
-        checks.config_number("hessian angle_degrees", h["angle_degrees"])
-        spec = gradlab.HessianSpec.build(
-            h["dim"],
-            h["det_eigs"],
-            h["align_eigs"],
-            math.radians(h["angle_degrees"]),
-            tuple(h.get("plane", (0, 1))),
-        )
-        for lam in obj["lambdas"]:
-            checks.config_number("lambda", lam, 0)
-        lambdas = [float(lam) for lam in obj["lambdas"]]
-        stability = obj["stability"]
-        checks.config_keys("stability", stability, ("base", "precisions"))
-        base = gradlab.RunConfig.from_dict(stability["base"])
-        P.check_pretrain_inputs(base.align)  # the two-stage runs pretrain it
-        precisions = list(stability["precisions"])
-        for p in precisions:
-            gradlab.resolve_precision(p)
-        prop3 = obj["prop3"]
-        checks.config_keys("prop3", prop3, ("align", "pretrain_steps", "lr", "seeds"))
-        p3_run = gradlab.RunConfig(
-            align=P.AlignConfig.from_dict(prop3["align"]),
-            pretrain_steps=prop3["pretrain_steps"],
-            lr=prop3["lr"],
-        )
-        p3_seeds = list(prop3["seeds"])
-        gradlab.check_prop3_inputs(p3_run, p3_seeds)
-        checks.config_keys("gradient_report", obj["gradient_report"], ("align",))
-        report_align = P.AlignConfig.from_dict(obj["gradient_report"]["align"])
-    except (KeyError, ValueError, TypeError, OSError) as exc:
+        obj = checks.load_config(args.config or bundled_path("configs/gradlab_default.json"))
+        lab = gradlab.LabConfig.from_dict(obj)
+        os.makedirs(args.out, exist_ok=True)
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    os.makedirs(args.out, exist_ok=True)
+    sweep = gradlab.conditioning_sweep(lab.hessian, lab.lambdas)
+    stress = gradlab.amp_stress(lab.base, lab.precisions)
+    grad_report = gradlab.gradient_report(lab.report_align)
+    p3 = gradlab.proposition3_experiment(lab.prop3, lab.prop3_seeds)
+
     outputs = []
 
-    sweep = gradlab.conditioning_sweep(spec, lambdas)
-    sweep_path = os.path.join(args.out, "conditioning_sweep.csv")
+    def output(name):
+        outputs.append(os.path.join(args.out, name))
+        return outputs[-1]
+
     _write_csv(
-        sweep_path,
+        output("conditioning_sweep.csv"),
         [("lambda", "kappa", "lambda_max", "lambda_min")]
         + [tuple(repr(v) for v in row) for row in sweep],
     )
-    outputs.append(sweep_path)
-
-    lam0 = replace(base, lam=0.0)
-    runs = {
-        "late": (gradlab.run_late_alignment, base),
-        "late_lam0": (gradlab.run_late_alignment, lam0),
-        "two_stage": (gradlab.run_two_stage, base),
-    }
-    rows = gradlab.amp_stress(runs, precisions)
-    for r in rows:
-        trace_path = os.path.join(args.out, f"trace_{r['config']}_{r['precision']}.csv")
+    for route, prec, trace in stress:
         _write_csv(
-            trace_path,
+            output(f"trace_{route}_{prec}.csv"),
             [("step", "loss", "grad_norm", "alpha")]
-            + [(t.step, repr(t.loss), repr(t.grad_norm), repr(t.alpha))
-               for t in r["trace"].records],
+            + [(t.step, repr(t.loss), repr(t.grad_norm), repr(t.alpha)) for t in trace.records],
         )
-        outputs.append(trace_path)
-    table_path = os.path.join(args.out, "stability_table.csv")
     _write_csv(
-        table_path,
+        output("stability_table.csv"),
         [("config", "precision", "verdict", "first_nonfinite_step", "max_grad_norm",
           "first_nonfinite_op")]
         + [
-            (r["config"], r["precision"], r["verdict"],
-             "" if r["first_nonfinite_step"] is None else r["first_nonfinite_step"],
-             repr(r["max_grad_norm"]),
-             "" if r["first_nonfinite_op"] is None else r["first_nonfinite_op"])
-            for r in rows
+            (route, prec, trace.verdict,
+             "" if trace.first_nonfinite_step is None else trace.first_nonfinite_step,
+             repr(trace.max_grad_norm),
+             "" if trace.first_nonfinite_op is None else trace.first_nonfinite_op)
+            for route, prec, trace in stress
         ],
     )
-    outputs.append(table_path)
+    _write_json(output("gradient_report.json"), grad_report.to_dict())
+    _write_json(output("prop3.json"), p3)
 
-    vocab, gens, _, encoder = P.build_world(report_align)
-    report_cfg = gradlab.RunConfig(align=report_align)
-    tasks = gradlab.build_detection_tasks(report_cfg, encoder, vocab, gens)
-    grad_report = gradlab.per_modality_gradients(encoder, tasks)
-    grad_path = os.path.join(args.out, "gradient_report.json")
-    _write_json(grad_path, grad_report.to_dict())
-    outputs.append(grad_path)
-
-    p3 = gradlab.proposition3_experiment(p3_run, p3_seeds)
-    p3_path = os.path.join(args.out, "prop3.json")
-    _write_json(p3_path, p3)
-    outputs.append(p3_path)
-
-    for r in rows:
-        step = r["first_nonfinite_step"]
-        print(f"{r['config']}/{r['precision']}: {r['verdict']}"
+    for route, prec, trace in stress:
+        step = trace.first_nonfinite_step
+        print(f"{route}/{prec}: {trace.verdict}"
               + (f" (first non-finite step {step})" if step is not None else ""))
     print(
         f"prop3: pre={p3['pre_alignment_mean_cosine']:.4f} "
@@ -288,7 +230,7 @@ def cmd_gradlab(args):
     manifest = RunManifest(
         command="gradlab",
         config=obj,
-        seed=base.align.seed,
+        seed=lab.base.align.seed,
         outputs=outputs,
         duration_s=time.time() - t0,
     )
@@ -328,10 +270,14 @@ def cmd_sample(args):
     try:
         recipe_path = args.recipe or bundled_path("recipes/babelrs_table1.json")
         recipe = S.MixtureRecipe.load(recipe_path)
+        seed = args.seed if args.seed is not None else recipe.seed
+        checks.config_int("seed", seed, 0)
+        out_dir = os.path.dirname(os.path.abspath(args.out))
+        if os.path.isdir(args.out) or not os.path.isdir(out_dir):
+            raise ValueError(f"--out {args.out} is not a file in an existing directory")
     except (KeyError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    seed = args.seed if args.seed is not None else recipe.seed
     dataset, index = S.draw_epoch(recipe, seed)
     _write_csv(
         args.out,
@@ -398,9 +344,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, P.NonFiniteLossError, checks.PowerIterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_INPUT if isinstance(exc, ValueError) else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

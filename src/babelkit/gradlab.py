@@ -17,7 +17,8 @@ import numpy as np
 
 from babelkit import pivot as P
 from babelkit import tape as T
-from babelkit.checks import config_int, config_keys, config_number, power_iteration_extremes
+from babelkit.checks import config_field, config_int, config_keys, config_number
+from babelkit.checks import power_iteration_extremes
 from babelkit.precision import EXACT, FP16
 from babelkit.tape import DiffTape
 
@@ -227,12 +228,6 @@ def _extremes(spec, lam):
     return float(eigs[-1]), float(eigs[0])
 
 
-def condition_number(spec, lam):
-    """kappa(H_det + lam * H_align) = lambda_max / lambda_min."""
-    hi, lo = _extremes(spec, lam)
-    return hi / lo
-
-
 def conditioning_sweep(spec, lambdas):
     """Rows (lambda, kappa, lambda_max, lambda_min) over a lambda grid."""
     rows = []
@@ -261,6 +256,12 @@ class RunTrace:
     # "<op>#<node id>" of the first non-finite tape node at the step the run
     # stopped, or None (no stop, or a stop with a finite forward)
     first_nonfinite_op: object = None
+
+    @property
+    def max_grad_norm(self):
+        """The largest finite gradient norm of the run, NaN if it has none."""
+        finite_norms = [r.grad_norm for r in self.records if np.isfinite(r.grad_norm)]
+        return max(finite_norms) if finite_norms else math.nan
 
 
 @dataclass
@@ -308,6 +309,12 @@ def build_detection_tasks(config, encoder, vocab, gens):
         )
         tasks.append(DetectionTask(m, gens[m], vocab, encoder, targets, head))
     return tasks
+
+
+def _fresh_tasks(config):
+    """(encoder, detection tasks) of a freshly built world for RunConfig ``config``."""
+    vocab, gens, _, encoder = P.build_world(config.align)
+    return encoder, build_detection_tasks(config, encoder, vocab, gens)
 
 
 def _finetune(encoder, tasks, steps, lr, mode, lam):
@@ -379,8 +386,7 @@ def run_late_alignment(config):
     """Joint detection + lam * centroid-alignment training from random
     initialization."""
     mode = resolve_precision(config.precision)
-    vocab, gens, _, encoder = P.build_world(config.align)
-    tasks = build_detection_tasks(config, encoder, vocab, gens)
+    encoder, tasks = _fresh_tasks(config)
     return _finetune(encoder, tasks, config.steps, config.lr, mode, config.lam)
 
 
@@ -388,10 +394,14 @@ def run_two_stage(config):
     """Language-pivoted pretraining (exact precision), then detection-only
     fine-tuning under the configured precision."""
     mode = resolve_precision(config.precision)
-    vocab, gens, _, encoder = P.build_world(config.align)
+    encoder, tasks = _fresh_tasks(config)
     P.pretrain_align(replace(config.align, steps=config.pretrain_steps), encoder=encoder)
-    tasks = build_detection_tasks(config, encoder, vocab, gens)
     return _finetune(encoder, tasks, config.steps, config.lr, mode, 0.0)
+
+
+def gradient_report(align):
+    """per_modality_gradients of the freshly built world of AlignConfig ``align``."""
+    return per_modality_gradients(*_fresh_tasks(RunConfig(align=align)))
 
 
 # -- gradient-coherence experiment (Prop. 3) ---------------------------------
@@ -417,9 +427,7 @@ def proposition3_experiment(config, seeds):
     per_seed = []
     for seed in seeds:
         align = replace(config.align, seed=int(seed))
-        cfg = replace(config, align=align)
-        vocab, gens, _, encoder = P.build_world(align)
-        tasks = build_detection_tasks(cfg, encoder, vocab, gens)
+        encoder, tasks = _fresh_tasks(replace(config, align=align))
         pre = per_modality_gradients(encoder, tasks).mean_cosine()
         P.pretrain_align(
             replace(align, steps=config.pretrain_steps, lr=config.lr), encoder=encoder
@@ -436,25 +444,74 @@ def proposition3_experiment(config, seeds):
 # -- reduced-precision stress harness ----------------------------------------
 
 
-def amp_stress(configs, precisions):
-    """Run each named config under each precision mode; returns table rows
-    {config, precision, verdict, first_nonfinite_step, max_grad_norm,
-    first_nonfinite_op, trace}, ``trace`` being the run's RunTrace."""
-    rows = []
-    for name, (runner, cfg) in configs.items():
-        for prec in precisions:
-            run_cfg = replace(cfg, precision=prec)
-            trace = runner(run_cfg)
-            finite_norms = [r.grad_norm for r in trace.records if np.isfinite(r.grad_norm)]
-            rows.append(
-                {
-                    "config": name,
-                    "precision": prec,
-                    "verdict": trace.verdict,
-                    "first_nonfinite_step": trace.first_nonfinite_step,
-                    "max_grad_norm": max(finite_norms) if finite_norms else math.nan,
-                    "first_nonfinite_op": trace.first_nonfinite_op,
-                    "trace": trace,
-                }
-            )
-    return rows
+def amp_stress(base, precisions):
+    """The stability harness's routes from the RunConfig ``base``: ``late``,
+    ``late_lam0`` (``base`` with lam = 0) and ``two_stage``, each under every
+    mode in ``precisions``; (route, precision, RunTrace) rows in that order."""
+    routes = (
+        ("late", run_late_alignment, base),
+        ("late_lam0", run_late_alignment, replace(base, lam=0.0)),
+        ("two_stage", run_two_stage, base),
+    )
+    return [
+        (name, prec, runner(replace(cfg, precision=prec)))
+        for name, runner, cfg in routes
+        for prec in precisions
+    ]
+
+
+# -- the gradlab config ------------------------------------------------------
+
+
+@dataclass
+class LabConfig:
+    """A checked gradlab config: the conditioning sweep's Hessian pair and
+    lambda grid, the stability harness's base run and precision modes,
+    Prop. 3's run and seeds, and the world of the gradient report."""
+
+    hessian: HessianSpec
+    lambdas: list
+    base: RunConfig
+    precisions: list
+    prop3: RunConfig
+    prop3_seeds: list
+    report_align: P.AlignConfig
+
+    @classmethod
+    def from_dict(cls, obj):
+        """Every check, before any work: ValueError or TypeError on a bad field."""
+        config_keys(
+            "gradlab config", obj, ("hessian", "lambdas", "stability", "prop3", "gradient_report")
+        )
+        h = config_field("gradlab config", obj, "hessian")
+        config_keys("hessian", h, ("dim", "det_eigs", "align_eigs", "angle_degrees", "plane"))
+        angle = config_field("hessian", h, "angle_degrees")
+        config_number("hessian angle_degrees", angle)
+        hessian = HessianSpec.build(
+            *(config_field("hessian", h, key) for key in ("dim", "det_eigs", "align_eigs")),
+            math.radians(angle),
+            h.get("plane", (0, 1)),
+        )
+        lambdas = config_field("gradlab config", obj, "lambdas")
+        for lam in lambdas:
+            config_number("lambda", lam, 0)
+        stability = config_field("gradlab config", obj, "stability")
+        config_keys("stability", stability, ("base", "precisions"))
+        base = RunConfig.from_dict(config_field("stability", stability, "base"))
+        P.check_pretrain_inputs(base.align)  # the two-stage runs pretrain it
+        precisions = list(config_field("stability", stability, "precisions"))
+        for p in precisions:
+            resolve_precision(p)
+        prop3 = config_field("gradlab config", obj, "prop3")
+        config_keys("prop3", prop3, ("align", "pretrain_steps", "lr", "seeds"))
+        p3_run = RunConfig(
+            align=P.AlignConfig.from_dict(config_field("prop3", prop3, "align")),
+            pretrain_steps=config_field("prop3", prop3, "pretrain_steps"),
+            lr=config_field("prop3", prop3, "lr"),
+        )
+        p3_seeds = list(config_field("prop3", prop3, "seeds"))
+        check_prop3_inputs(p3_run, p3_seeds)
+        report = config_field("gradlab config", obj, "gradient_report")
+        config_keys("gradient_report", report, ("align",))
+        report_align = P.AlignConfig.from_dict(config_field("gradient_report", report, "align"))
+        return cls(hessian, lambdas, base, precisions, p3_run, p3_seeds, report_align)

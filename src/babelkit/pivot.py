@@ -266,18 +266,6 @@ def batch_loss(p, encoder, pivot, batch, alpha):
     return T.mul(T.mean(logp), -logp.shape[0] / len(batch))
 
 
-def alignment_loss(encoder, pivot, sample, alpha=1.0):
-    """Loss value plus gradients for a single sample.
-
-    Returns (loss, grads) where grads maps encoder parameter names to
-    arrays; the frozen pivot is not on the tape and has none.
-    """
-    tp = DiffTape()
-    loss = batch_loss(encoder.register(tp), encoder, pivot, [sample], alpha)
-    grads = tp.backward(loss)
-    return float(loss.data), grads
-
-
 # -- pretraining -------------------------------------------------------------
 
 

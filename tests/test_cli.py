@@ -231,8 +231,10 @@ class TestGradlabConfigErrors:
     def test_missing_section_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"lambdas": [0, 1]}), encoding="utf-8")
-        assert run(["gradlab", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "error" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert run(["gradlab", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: gradlab config is missing 'hessian'\n"
+        assert not out.exists()
 
     def test_non_finite_number_exit_2(self, tmp_path, capsys):
         with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
@@ -309,6 +311,33 @@ class TestGradlabConfigErrors:
 
 
 class TestGradlabRun:
+    def test_power_iteration_failure_exit_3(self, tmp_path, capsys):
+        with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        # the two largest eigenvalues 1 and 1 + 1e-9 are too close for power
+        # iteration (dimension 10 > 8) to separate within its iteration budget
+        cfg["hessian"] = {"dim": 10, "det_eigs": [1.0, 1.0 + 1e-9] + [0.5] * 8,
+                          "align_eigs": [1.0] * 10, "angle_degrees": 0.0}
+        cfg["lambdas"] = [0.0]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run(["gradlab", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: power iteration: no convergence")
+
+    def test_non_finite_pretraining_exit_3(self, tmp_path, capsys):
+        with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        # the two-stage route pretrains at the base align lr, which blows up
+        cfg["stability"] = {"base": {**cfg["stability"]["base"], "steps": 5, "pretrain_steps": 80},
+                            "precisions": ["exact"]}
+        cfg["stability"]["base"]["align"] = {**cfg["stability"]["base"]["align"], "lr": 1e8}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run(["gradlab", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite loss at step")
+
     def test_stability_table_names_first_nonfinite_op(self, tmp_path, capsys):
         with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -353,7 +382,45 @@ class TestGradlabRun:
         assert runs[0] == runs[1]
 
 
+class TestUnusableOut:
+    @pytest.mark.parametrize("command", ["align", "gradlab"])
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        out.write_text("kept", encoding="utf-8")
+        assert run([command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert out.read_text(encoding="utf-8") == "kept"
+
+    def test_eval_out_is_a_file_exit_2(self, fixture_dir, capsys):
+        tmp_path, reg, gt, det, _ = fixture_dir
+        out = tmp_path / "o"
+        out.write_text("kept", encoding="utf-8")
+        assert run(["eval", "--gt", gt, "--det", det, "--registry", reg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert out.read_text(encoding="utf-8") == "kept"
+
+    @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
+    def test_sample_out_exit_2_before_drawing(self, tmp_path, capsys, monkeypatch, where):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew an epoch for an unusable --out")
+
+        monkeypatch.setattr(cli.S, "draw_epoch", refuse)
+        out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+        assert run(["sample", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "missing").exists()
+
+
 class TestSample:
+    def test_negative_seed_names_the_field(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert run(["sample", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
     def test_determinism_byte_identical(self, tmp_path, capsys):
         recipe = tmp_path / "r.json"
         recipe.write_text(

@@ -18,6 +18,11 @@ def antipodal_align(seed=0):
     return P.AlignConfig(antipodal_modalities=True, steps=0, seed=seed)
 
 
+def kappa(spec, lam):
+    """The condition number of H_det + lam * H_align: a one-lambda sweep."""
+    return G.conditioning_sweep(spec, [lam])[0][1]
+
+
 def copy_encoder(enc):
     """An encoder with ``enc``'s settings and its own copy of its parameters."""
     clone = copy.copy(enc)
@@ -91,15 +96,15 @@ class TestGradientReport:
 class TestConditioning:
     def test_lambda_zero_is_hdet(self):
         spec = G.HessianSpec(np.diag([10.0, 1.0]), np.eye(2))
-        assert G.condition_number(spec, 0.0) == pytest.approx(10.0, rel=1e-9)
+        assert kappa(spec, 0.0) == pytest.approx(10.0, rel=1e-9)
 
     def test_commuting_closed_form(self):
         # diag(10,1) + I: eigenvalues (11, 2) -> kappa 5.5
         spec = G.HessianSpec(np.diag([10.0, 1.0]), np.eye(2))
-        assert G.condition_number(spec, 1.0) == pytest.approx(5.5, rel=1e-9)
+        assert kappa(spec, 1.0) == pytest.approx(5.5, rel=1e-9)
         for lam in (0.5, 2.0, 4.0):
             expect = (10.0 + lam) / (1.0 + lam)
-            assert G.condition_number(spec, lam) == pytest.approx(expect, rel=1e-9)
+            assert kappa(spec, lam) == pytest.approx(expect, rel=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -108,7 +113,7 @@ class TestConditioning:
             G.HessianSpec(np.diag([1.0, -1.0]), np.eye(2))
         spec = G.HessianSpec(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
-            G.condition_number(spec, -0.1)
+            G.conditioning_sweep(spec, [-0.1])
 
     def test_bundled_misaligned_sweep_increasing(self):
         spec = G.HessianSpec.build(
@@ -128,8 +133,7 @@ class TestConditioning:
         h_det = a @ a.T + 0.5 * np.eye(10)
         spec = G.HessianSpec(h_det, np.eye(10))
         eigs = np.linalg.eigvalsh(h_det + 2.0 * np.eye(10))
-        kappa = G.condition_number(spec, 2.0)
-        assert kappa == pytest.approx(eigs[-1] / eigs[0], rel=1e-6)
+        assert kappa(spec, 2.0) == pytest.approx(eigs[-1] / eigs[0], rel=1e-6)
 
     def test_dense_sweep_needs_no_power_iteration(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -241,18 +245,32 @@ class TestRuns:
 
 class TestAmpStress:
     def test_table_shape_and_exact_column(self):
-        cfg = G.RunConfig(align=antipodal_align(), steps=6, lr=1e-3)
-        rows = G.amp_stress({"late": (G.run_late_alignment, cfg)}, ["exact", "fp16"])
-        assert {(r["config"], r["precision"]) for r in rows} == {
-            ("late", "exact"), ("late", "fp16")
+        base = G.RunConfig(align=antipodal_align(), steps=6, lr=1e-3, lam=2.0, pretrain_steps=2)
+        rows = G.amp_stress(base, ["exact", "fp16"])
+        assert [(route, prec) for route, prec, _ in rows] == [
+            ("late", "exact"), ("late", "fp16"),
+            ("late_lam0", "exact"), ("late_lam0", "fp16"),
+            ("two_stage", "exact"), ("two_stage", "fp16"),
+        ]
+        runners = {
+            "late": (G.run_late_alignment, base),
+            "late_lam0": (G.run_late_alignment, replace(base, lam=0.0)),
+            "two_stage": (G.run_two_stage, base),
         }
-        exact_row = next(r for r in rows if r["precision"] == "exact")
-        assert exact_row["verdict"] == "converged"
-        for r in rows:
-            run = G.run_late_alignment(replace(cfg, precision=r["precision"]))
-            assert len(r["trace"].records) == 6
-            assert r["trace"].records == run.records
-            assert r["verdict"] == r["trace"].verdict
+        for route, prec, trace in rows:
+            runner, cfg = runners[route]
+            run = runner(replace(cfg, precision=prec))
+            assert len(trace.records) == 6
+            assert trace.records == run.records
+            assert trace.verdict == run.verdict
+        late_exact = rows[0][2]
+        assert late_exact.verdict == "converged"
+        assert late_exact.max_grad_norm == max(r.grad_norm for r in late_exact.records)
+
+    def test_max_grad_norm_skips_non_finite_norms(self):
+        records = [G.RunRecord(0, 1.0, 2.0, 1.0), G.RunRecord(1, math.inf, math.nan, 1.0)]
+        assert G.RunTrace(records, "diverged", 1).max_grad_norm == 2.0
+        assert math.isnan(G.RunTrace(records[1:], "diverged", 0).max_grad_norm)
 
 
 class TestProposition3:

@@ -18,6 +18,15 @@ def encode_one(encoder, x, alpha):
     return encoder.encode(encoder.params, x[None, :], alpha).data[0]
 
 
+def sample_loss(encoder, pivot, sample):
+    """One sample's alignment loss value: ``batch_loss`` over a batch of one
+    at alpha 1, taped and differentiated as a training step would."""
+    tp = DiffTape()
+    loss = P.batch_loss(encoder.register(tp), encoder, pivot, [sample], 1.0)
+    tp.backward(loss)
+    return float(loss.data)
+
+
 def reference_next_token_probs(pivot, tokens, z):
     """Numpy decoder: softmax((embed[prev] + mean visual token) @ W + b),
     one row per response position of one sample."""
@@ -111,7 +120,7 @@ class TestLanguagePivot:
         pivot.W = np.zeros_like(pivot.W)
         pivot.b = np.zeros_like(pivot.b)
         s = gens["sar"].generate_sample(vocab, "a")
-        loss, _ = P.alignment_loss(encoder, pivot, s)
+        loss = sample_loss(encoder, pivot, s)
         assert loss == pytest.approx(2 * math.log(8), rel=1e-12)
 
     def test_pivot_not_on_tape(self):
@@ -129,7 +138,7 @@ class TestLanguagePivot:
     def test_loss_matches_hand_computation(self):
         cfg, vocab, gens, pivot, encoder = small_world()
         s = gens["sar"].generate_sample(vocab, "ship")
-        loss, _ = P.alignment_loss(encoder, pivot, s)
+        loss = sample_loss(encoder, pivot, s)
         z = encode_one(encoder, s.image, 1.0)
         dists = reference_next_token_probs(pivot, (s.instruction_tokens, s.response_tokens), z)
         hand = -sum(math.log(dists[j, tok]) for j, tok in enumerate(s.response_tokens))
@@ -167,7 +176,7 @@ class TestLanguagePivot:
         s = gens["sar"].generate_sample(vocab, "ship")
         bad = P.InstructionSample(s.image, s.instruction_tokens, (999,), s.modality, s.concept)
         with pytest.raises(ValueError, match="vocabulary"):
-            P.alignment_loss(encoder, pivot, bad)
+            sample_loss(encoder, pivot, bad)
 
     def test_response_only_term_count(self):
         cfg, vocab, gens, pivot, encoder = small_world()
@@ -180,12 +189,12 @@ class TestLanguagePivot:
     def test_perturbing_instruction_changes_loss(self):
         cfg, vocab, gens, pivot, encoder = small_world()
         s = gens["sar"].generate_sample(vocab, "ship")
-        base, _ = P.alignment_loss(encoder, pivot, s)
+        base = sample_loss(encoder, pivot, s)
         other = P.InstructionSample(
             s.image, (s.instruction_tokens[0],) * len(s.instruction_tokens),
             s.response_tokens, s.modality, s.concept,
         )
-        changed, _ = P.alignment_loss(encoder, pivot, other)
+        changed = sample_loss(encoder, pivot, other)
         assert changed != base
 
     def test_batch_loss_decomposition(self):
@@ -193,7 +202,7 @@ class TestLanguagePivot:
         batch = P.training_batch(vocab, gens, cfg, step=0)
         tp = DiffTape()
         total = P.batch_loss(encoder.register(tp), encoder, pivot, batch, 1.0)
-        singles = [P.alignment_loss(encoder, pivot, s)[0] for s in batch]
+        singles = [sample_loss(encoder, pivot, s) for s in batch]
         assert float(total.data) == pytest.approx(np.mean(singles), rel=1e-12)
 
     def test_step_node_count_independent_of_batch_size(self):
