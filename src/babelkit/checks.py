@@ -1,10 +1,11 @@
 """Numerical verification utilities: central-difference gradient checking,
-power-iteration extreme-eigenvalue estimation, and the config loader and
-field checks that configs run before any work."""
+power-iteration extreme-eigenvalue estimation, the loader of every JSON
+input file, and the field checks that configs run before any work."""
 
 import json
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -15,7 +16,11 @@ class NonFiniteEvaluationError(ValueError):
     pass
 
 
-class PowerIterationError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A computation on valid inputs went non-finite or did not converge."""
+
+
+class PowerIterationError(NumericalError):
     def __init__(self, residual, iters):
         msg = f"no convergence after {iters} iterations (residual {residual:g})"
         super().__init__(f"power iteration: {msg}")
@@ -24,8 +29,8 @@ class PowerIterationError(RuntimeError):
 
 
 def load_config(path):
-    """A config file; NaN, Infinity and numbers that overflow to inf are
-    config errors (ValueError), not values to train with."""
+    """A JSON input file; invalid JSON, NaN, Infinity and numbers that
+    overflow to inf are input errors (ValueError) that name the file."""
 
     def finite(text):
         v = float(text)
@@ -34,7 +39,10 @@ def load_config(path):
         return v
 
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_float=finite, parse_constant=finite)
+        try:
+            return json.load(fh, parse_float=finite, parse_constant=finite)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
 def config_keys(name, obj, known):
@@ -68,11 +76,12 @@ def config_int(name, value, low, high=None):
 
 
 def config_number(name, value, low=None):
-    """ValueError unless ``value`` is a real number, not a bool, and
-    ``value >= low`` when ``low`` is given."""
+    """ValueError unless ``value`` is a real number, not a bool, within the
+    float64 range, and ``value >= low`` when ``low`` is given."""
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Real)
+        or abs(value) > sys.float_info.max
         or (low is not None and not value >= low)
     ):
         bound = "" if low is None else f" >= {low}"

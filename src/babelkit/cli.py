@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,14 +40,7 @@ class RunManifest:
 
     def write(self, path):
         """Atomic write: temp file in the target directory, then rename."""
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "outputs": sorted(self.outputs),
-            "duration_s": self.duration_s,
-        }
+        payload = {**asdict(self), "outputs": sorted(self.outputs)}
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
@@ -82,65 +75,58 @@ def bundled_path(name):
 # -- eval ---------------------------------------------------------------------
 
 
-def cmd_eval(args):
-    t0 = time.time()
-    try:
-        registry = deteval_io.load_registry(args.registry)
-        gts = deteval_io.load_ground_truth(args.gt)
-        dets = deteval_io.load_detections(args.det)
-        report = deteval.evaluate(dets, gts, registry, ap_mode=args.ap_mode)
-        os.makedirs(args.out, exist_ok=True)
-    except (deteval_io.RecordError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def load_eval(args):
+    """Evaluating is the check that every category is registered."""
+    registry = deteval_io.load_registry(args.registry)
+    gts = deteval_io.load_ground_truth(args.gt)
+    dets = deteval_io.load_detections(args.det)
+    report = deteval.evaluate(dets, gts, registry, ap_mode=args.ap_mode)
+    os.makedirs(args.out, exist_ok=True)
+    return registry, report
+
+
+def run_eval(args, loaded):
+    registry, report = loaded
     json_path = os.path.join(args.out, "report.json")
     csv_path = os.path.join(args.out, "report.csv")
     _write_json(json_path, report.to_dict())
     _write_csv(csv_path, report.csv_rows(registry))
     print(report.summary_line())
-    manifest = RunManifest(
+    return os.path.join(args.out, "manifest.json"), RunManifest(
         command="eval",
         config={"gt": args.gt, "det": args.det, "registry": args.registry,
                 "ap_mode": args.ap_mode},
         seed=None,
         outputs=[json_path, csv_path],
-        duration_s=time.time() - t0,
     )
-    manifest.write(os.path.join(args.out, "manifest.json"))
-    return EXIT_OK
 
 
 # -- hmap ---------------------------------------------------------------------
 
 
-def cmd_hmap(args):
-    try:
-        values = [float(v) for v in args.values]
-        h = deteval.harmonic_modality_map(values)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def load_hmap(args):
+    return deteval.harmonic_modality_map([float(v) for v in args.values])
+
+
+def run_hmap(args, h):
     print(f"{h:.2f}")
-    return EXIT_OK
 
 
 # -- align --------------------------------------------------------------------
 
 
-def cmd_align(args):
-    t0 = time.time()
-    try:
-        cfg_path = args.config or bundled_path("configs/align_default.json")
-        obj = checks.load_config(cfg_path)
-        if args.seed is not None:
-            obj["seed"] = args.seed
-        config = P.AlignConfig.from_dict(obj)
-        P.check_pretrain_inputs(config)
-        os.makedirs(args.out, exist_ok=True)
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def load_align(args):
+    obj = checks.load_config(args.config or bundled_path("configs/align_default.json"))
+    if args.seed is not None:
+        obj["seed"] = args.seed
+    config = P.AlignConfig.from_dict(obj)
+    P.check_pretrain_inputs(config)
+    os.makedirs(args.out, exist_ok=True)
+    return obj, config
 
+
+def run_align(args, loaded):
+    obj, config = loaded
     vocab, gens, pivot, encoder = P.build_world(config)
     pre = P.consistency_report(encoder, pivot, vocab, gens)
     encoder, trace = P.pretrain_align(config, encoder=encoder)
@@ -159,29 +145,26 @@ def cmd_align(args):
     print(f"steps={len(trace)} final_loss={final:.6f}")
     for c in vocab.concepts:
         print(f"consistency[{c}]: pre={pre[c]:.6f} post={post[c]:.6f}")
-    manifest = RunManifest(
+    return os.path.join(args.out, "manifest.json"), RunManifest(
         command="align",
         config=obj,
         seed=config.seed,
         outputs=[trace_path, ckpt_path, cons_path],
-        duration_s=time.time() - t0,
     )
-    manifest.write(os.path.join(args.out, "manifest.json"))
-    return EXIT_OK
 
 
 # -- gradlab ------------------------------------------------------------------
 
 
-def cmd_gradlab(args):
-    t0 = time.time()
-    try:
-        obj = checks.load_config(args.config or bundled_path("configs/gradlab_default.json"))
-        lab = gradlab.LabConfig.from_dict(obj)
-        os.makedirs(args.out, exist_ok=True)
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def load_gradlab(args):
+    obj = checks.load_config(args.config or bundled_path("configs/gradlab_default.json"))
+    lab = gradlab.LabConfig.from_dict(obj)
+    os.makedirs(args.out, exist_ok=True)
+    return obj, lab
+
+
+def run_gradlab(args, loaded):
+    obj, lab = loaded
     sweep = gradlab.conditioning_sweep(lab.hessian, lab.lambdas)
     stress = gradlab.amp_stress(lab.base, lab.precisions)
     grad_report = gradlab.gradient_report(lab.report_align)
@@ -227,15 +210,12 @@ def cmd_gradlab(args):
         f"prop3: pre={p3['pre_alignment_mean_cosine']:.4f} "
         f"post={p3['post_alignment_mean_cosine']:.4f}"
     )
-    manifest = RunManifest(
+    return os.path.join(args.out, "manifest.json"), RunManifest(
         command="gradlab",
         config=obj,
         seed=lab.base.align.seed,
         outputs=outputs,
-        duration_s=time.time() - t0,
     )
-    manifest.write(os.path.join(args.out, "manifest.json"))
-    return EXIT_OK
 
 
 # -- sample -------------------------------------------------------------------
@@ -265,19 +245,19 @@ def _epoch_lines(names, dataset, index, chunk=4096):
         ])
 
 
-def cmd_sample(args):
-    t0 = time.time()
-    try:
-        recipe_path = args.recipe or bundled_path("recipes/babelrs_table1.json")
-        recipe = S.MixtureRecipe.load(recipe_path)
-        seed = args.seed if args.seed is not None else recipe.seed
-        checks.config_int("seed", seed, 0)
-        out_dir = os.path.dirname(os.path.abspath(args.out))
-        if os.path.isdir(args.out) or not os.path.isdir(out_dir):
-            raise ValueError(f"--out {args.out} is not a file in an existing directory")
-    except (KeyError, ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def load_sample(args):
+    recipe_path = args.recipe or bundled_path("recipes/babelrs_table1.json")
+    recipe = S.MixtureRecipe.load(recipe_path)
+    seed = args.seed if args.seed is not None else recipe.seed
+    checks.config_int("seed", seed, 0)
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if os.path.isdir(args.out) or not os.path.isdir(out_dir):
+        raise ValueError(f"--out {args.out} is not a file in an existing directory")
+    return recipe_path, recipe, seed
+
+
+def run_sample(args, loaded):
+    recipe_path, recipe, seed = loaded
     dataset, index = S.draw_epoch(recipe, seed)
     _write_csv(
         args.out,
@@ -288,15 +268,12 @@ def cmd_sample(args):
     expected = S.expected_counts(recipe)
     for e, drawn in zip(recipe.entries, counts):
         print(f"{e.name}: expected={expected[e.name]:.1f} drawn={drawn}")
-    manifest = RunManifest(
+    return args.out + ".manifest.json", RunManifest(
         command="sample",
         config={"recipe": recipe_path},
         seed=seed,
         outputs=[args.out],
-        duration_s=time.time() - t0,
     )
-    manifest.write(args.out + ".manifest.json")
-    return EXIT_OK
 
 
 # -- entry point --------------------------------------------------------------
@@ -315,38 +292,55 @@ def build_parser():
     p.add_argument("--registry", required=True, help="modality registry JSON")
     p.add_argument("--ap-mode", choices=("all-points", "101pt"), default="all-points")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(load=load_eval, run=run_eval)
 
     p = sub.add_parser("hmap", help="harmonic mean of per-modality mAPs")
     p.add_argument("values", nargs="+", help="per-modality mAP values")
-    p.set_defaults(func=cmd_hmap)
+    p.set_defaults(load=load_hmap, run=run_hmap)
 
     p = sub.add_parser("align", help="language-pivoted alignment pretraining")
     p.add_argument("--config", help="config JSON (default: bundled)")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_align)
+    p.set_defaults(load=load_align, run=run_align)
 
     p = sub.add_parser("gradlab", help="optimization-analysis experiments")
     p.add_argument("--config", help="config JSON (default: bundled)")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_gradlab)
+    p.set_defaults(load=load_gradlab, run=run_gradlab)
 
     p = sub.add_parser("sample", help="draw one epoch from a mixture recipe")
     p.add_argument("--recipe", help="recipe JSON (default: bundled)")
     p.add_argument("--seed", type=int, help="epoch seed (default: recipe seed)")
     p.add_argument("--out", required=True, help="manifest CSV path")
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(load=load_sample, run=run_sample)
     return parser
 
 
 def main(argv=None):
+    """Run one subcommand: its load (every check, then ``--out``), its run
+    (the work and outputs), then write its manifest. Exit 2 on a ValueError,
+    TypeError, KeyError or OSError from the load or a ValueError from the
+    run, 3 on a ``checks.NumericalError`` from the run, each with one
+    ``error:`` line; any other exception propagates."""
     args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
-    except (ValueError, P.NonFiniteLossError, checks.PowerIterationError) as exc:
+        loaded = args.load(args)
+    except (ValueError, TypeError, KeyError, OSError) as exc:
+        # a KeyError's str() is the repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        result = args.run(args, loaded)
+    except (ValueError, checks.NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, ValueError) else EXIT_NUMERICAL
+    if result is not None:
+        path, manifest = result
+        manifest.duration_s = time.time() - t0
+        manifest.write(path)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ Errors carry the 1-based line number and the offending field.
 import json
 from math import isfinite
 
+from babelkit.checks import load_config
 from babelkit.deteval import Box, Detection, GroundTruthEntry, ModalityRegistry
 
 
@@ -93,8 +94,7 @@ def load_ground_truth(path):
 
 
 def load_registry(path):
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = load_config(path)
     modalities = obj.get("modalities") if isinstance(obj, dict) else None
     if not isinstance(modalities, dict):
         raise ValueError(f"{path}: top-level 'modalities' object required")

@@ -17,7 +17,7 @@ import numpy as np
 
 from babelkit import pivot as P
 from babelkit import tape as T
-from babelkit.checks import config_field, config_int, config_keys, config_number
+from babelkit.checks import NumericalError, config_field, config_int, config_keys, config_number
 from babelkit.checks import power_iteration_extremes
 from babelkit.precision import EXACT, FP16
 from babelkit.tape import DiffTape
@@ -158,7 +158,7 @@ def per_modality_gradients(encoder, tasks):
         g = tp.backward(loss)
         vec = flatten_named(g, encoder.PARAM_NAMES)
         if not np.all(np.isfinite(vec)):
-            raise ValueError(f"non-finite gradient for modality {task.modality!r}")
+            raise NumericalError(f"non-finite gradient for modality {task.modality!r}")
         grads[task.modality] = vec
     return GradientReport.from_vectors(grads)
 

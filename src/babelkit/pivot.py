@@ -32,12 +32,12 @@ import numpy as np
 
 from babelkit import lvsa
 from babelkit import tape as T
-from babelkit.checks import config_int, config_keys, config_number
+from babelkit.checks import NumericalError, config_int, config_keys, config_number
 from babelkit.lvsa import AnnealSchedule, FeaturePyramid, SelectedSet, anneal_alpha
 from babelkit.tape import DiffTape
 
 
-class NonFiniteLossError(RuntimeError):
+class NonFiniteLossError(NumericalError):
     def __init__(self, step):
         super().__init__(f"non-finite loss at step {step}")
         self.step = step

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from babelkit.checks import config_int, config_keys, config_number, load_config
+from babelkit.checks import config_field, config_int, config_keys, config_number, load_config
 
 TASKS = ("VQA", "VG", "Caption", "CLS")
 
@@ -61,10 +61,14 @@ class MixtureRecipe:
     @classmethod
     def from_dict(cls, obj):
         config_keys("recipe", obj, cls.__dataclass_fields__)
+        rows = config_field("recipe", obj, "entries")
+        if not isinstance(rows, list):
+            raise ValueError(f"recipe entries must be a list, got {rows!r}")
+        fields = RecipeEntry.__dataclass_fields__
         entries = []
-        for row in obj["entries"]:
-            config_keys("recipe entry", row, RecipeEntry.__dataclass_fields__)
-            entries.append(RecipeEntry(**row))
+        for row in rows:
+            config_keys("recipe entry", row, fields)
+            entries.append(RecipeEntry(*(config_field("recipe entry", row, k) for k in fields)))
         return cls(entries=tuple(entries), seed=obj.get("seed", 0))
 
     @classmethod

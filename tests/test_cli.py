@@ -132,6 +132,14 @@ class TestEval:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unregistered_category_message_without_quotes(self, fixture_dir, capsys):
+        tmp_path, reg, gt, _, dets = fixture_dir
+        det = write_jsonl(tmp_path / "d.jsonl", [{**dets[0], "category": "y"}])
+        out = tmp_path / "o"
+        assert run(["eval", "--gt", gt, "--det", det, "--registry", reg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: category 'y' is not registered\n"
+        assert not out.exists()
+
     def test_byte_reproducible(self, fixture_dir, capsys):
         tmp_path, reg, gt, det, _ = fixture_dir
         outs = []
@@ -220,6 +228,14 @@ class TestAlign:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_integer_beyond_float64_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"steps": 5, "lr": 10**400}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["align", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: lr must be a number, got 1000")
+        assert not out.exists()
+
     def test_nonfinite_exit_3_with_step(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"steps": 80, "lr": 1e8}), encoding="utf-8")
@@ -245,6 +261,17 @@ class TestGradlabConfigErrors:
         out = tmp_path / "o"
         assert run(["gradlab", "--config", str(path), "--out", str(out)]) == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_beyond_float64_lambda_exit_2(self, tmp_path, capsys):
+        with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg["lambdas"] = [0.0, 10**400]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["gradlab", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: lambda must be a number >= 0, got 1000")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -337,6 +364,18 @@ class TestGradlabRun:
         assert run(["gradlab", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: non-finite loss at step")
+
+    def test_prop3_non_finite_gradient_exit_3(self, tmp_path, capsys):
+        with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        # one pretraining step at this lr leaves the encoder's gradients non-finite
+        cfg["stability"]["base"].update(steps=5, pretrain_steps=2)
+        cfg["prop3"].update(pretrain_steps=1, lr=1e100)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run(["gradlab", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite gradient for modality ")
 
     def test_stability_table_names_first_nonfinite_op(self, tmp_path, capsys):
         with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
@@ -476,6 +515,20 @@ class TestSample:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("recipe_obj, message", [
+        pytest.param({"seed": 0}, "recipe is missing 'entries'", id="no-entries"),
+        pytest.param({"entries": [{"name": "a", "sample_rate": 1.0, "tasks": ["VQA"]}]},
+                     "recipe entry is missing 'size'", id="entry-without-size"),
+        pytest.param({"entries": 5}, "recipe entries must be a list, got 5", id="entries-number"),
+    ])
+    def test_recipe_error_names_its_block(self, tmp_path, capsys, recipe_obj, message):
+        recipe = tmp_path / "r.json"
+        recipe.write_text(json.dumps(recipe_obj), encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert run(["sample", "--recipe", str(recipe), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_schema_error_exit_2(self, tmp_path, capsys):
         recipe = tmp_path / "r.json"
         recipe.write_text(
@@ -485,3 +538,32 @@ class TestSample:
         assert run(["sample", "--recipe", str(recipe), "--out", str(tmp_path / "m.csv")]) == 2
         assert "error" in capsys.readouterr().err
 
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("command", ["align", "gradlab", "sample", "eval"])
+    def test_invalid_json_names_its_file(self, fixture_dir, capsys, command):
+        tmp_path, reg, gt, det, _ = fixture_dir
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"steps": 5,, }', encoding="utf-8")
+        out = tmp_path / "o"
+        argv = {
+            "align": ["align", "--config", str(bad)],
+            "gradlab": ["gradlab", "--config", str(bad)],
+            "sample": ["sample", "--recipe", str(bad)],
+            "eval": ["eval", "--gt", gt, "--det", det, "--registry", str(bad)],
+        }[command]
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: invalid JSON: ")
+        assert not out.exists()
+
+    def test_type_error_in_a_run_propagates(self, tmp_path, capsys, monkeypatch):
+        # a TypeError after the load is a bug, not an input error: it stays a traceback
+        def broken(config):
+            raise TypeError("bug in the run")
+
+        monkeypatch.setattr(cli.P, "build_world", broken)
+        with pytest.raises(TypeError, match="bug in the run"):
+            run(["align", "--out", str(tmp_path / "o")])
+        assert capsys.readouterr().err == ""
