@@ -63,8 +63,9 @@ def config_field(name, obj, key):
 
 
 def config_int(name, value, low, high=None):
-    """ValueError unless ``value`` is an integer, not a bool, with
-    ``low <= value`` and, if ``high`` is given, ``value < high``."""
+    """ValueError unless ``value`` is an integer, not a bool, within the
+    int64 range, with ``low <= value`` and, if ``high`` is given,
+    ``value < high``."""
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Integral)
@@ -73,6 +74,8 @@ def config_int(name, value, low, high=None):
     ):
         bound = f">= {low}" if high is None else f"in [{low}, {high})"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    if value > np.iinfo(np.int64).max:
+        raise ValueError(f"{name} must be an integer within the int64 range, got {value!r}")
 
 
 def config_number(name, value, low=None):

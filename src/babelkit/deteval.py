@@ -8,9 +8,11 @@ Conventions (documented here because typical inputs never exercise them):
     so results are invariant under permutation of the input records.
   - A category with no ground truth and no detections scores AP 1.0; with
     detections but no ground truth, AP 0.0.
-  - Each category's detections are sorted once and each image's IoU table
-    is computed once; the greedy match and the envelope then run once per
-    threshold over those.
+  - Each category's records become arrays once: image codes (ids ranked in
+    Python's string order), boxes and scores. Its detections are sorted once
+    and the IoU of each same-image (detection, ground truth) pair is computed
+    once; the greedy match and the envelope then run once per threshold over
+    those.
 
 All internal values are fractions in [0, 1]; rendering as percent is a
 presentation concern (see cli).
@@ -18,7 +20,6 @@ presentation concern (see cli).
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -111,12 +112,11 @@ def _max(x, y):
     return np.where(y > x, y, x)
 
 
-def iou_table(a, b):
-    """IoU of every row of ``a`` (..., n, 4) with every row of ``b`` (..., m, 4),
-    rows [xmin, ymin, xmax, ymax]: the (..., n, m) tables of ``iou(a[i], b[j])``,
-    with the same float operations in the same order, so equal bit for bit.
-    Leading dimensions broadcast: a stack of images gives a stack of tables."""
-    a, b = a[..., :, None, :], b[..., None, :, :]
+def iou_rows(a, b):
+    """IoU of the boxes ``a`` (..., 4) and ``b`` (..., 4), rows [xmin, ymin,
+    xmax, ymax], pair by pair under broadcasting (``iou_rows(a[:, None],
+    b[None])`` is the table of every pair). Same float operations in the same
+    order as ``iou``, so equal bit for bit."""
     ix = _min(a[..., 2], b[..., 2]) - _max(a[..., 0], b[..., 0])
     iy = _min(a[..., 3], b[..., 3]) - _max(a[..., 1], b[..., 1])
     inter = _max(ix, 0.0) * _max(iy, 0.0)
@@ -126,64 +126,32 @@ def iou_table(a, b):
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 
-def _box_array(records):
-    """(n, 4) float64 array of the records' [xmin, ymin, xmax, ymax]."""
-    boxes = (r.box for r in records)
-    coords = chain.from_iterable((b.xmin, b.ymin, b.xmax, b.ymax) for b in boxes)
-    return np.fromiter(coords, dtype=np.float64, count=4 * len(records)).reshape(-1, 4)
+def sort_detections(scores, images, boxes):
+    """Canonical evaluation order: score desc, then image code and box
+    coordinates ascending, as one stable lexsort. The key depends only on
+    record content, so evaluation is invariant under permutation of the input
+    order."""
+    return np.lexsort((boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0], images, -scores))
 
 
-def sort_detections(dets):
-    """Canonical evaluation order: score desc, then image_id and box
-    coordinates ascending. The key depends only on record content, so
-    evaluation is invariant under permutation of the input order."""
-
-    def key(i):
-        d = dets[i]
-        b = d.box
-        return (-d.score, d.image_id, b.xmin, b.ymin, b.xmax, b.ymax)
-
-    return sorted(range(len(dets)), key=key)
-
-
-def _by_image(codes, n_images):
-    """Record indices grouped by image code (ascending within an image),
-    with each image's count and start in that grouping. Code -1 is left out."""
-    kept = np.flatnonzero(codes >= 0)
-    grouped = kept[np.argsort(codes[kept], kind="stable")]
-    counts = np.bincount(codes[kept], minlength=n_images)
-    return grouped, counts, np.cumsum(counts) - counts
-
-
-def match_candidates(dets_in_order, gts, min_iou):
+def match_candidates(det_images, det_boxes, gt_images, gt_boxes, min_iou):
     """Every (detection, ground truth) pair of one image with IoU >= min_iou:
     the pairs any threshold >= min_iou can match.
 
-    One IoU table per image (that image's detections x ground truths); the
-    images whose tables have the same shape go through ``iou_table`` as one
-    stack. Returns (k, iou, j) triples, k the detection's position and j the
-    ground truth's index, sorted by k, then iou descending, then j."""
-    images = {}
-    gt_img = np.array([images.setdefault(g.image_id, len(images)) for g in gts], dtype=np.int64)
-    det_img = np.array([images.get(d.image_id, -1) for d in dets_in_order], dtype=np.int64)
-    dets_by_img, n_det, det_start = _by_image(det_img, len(images))
-    gts_by_img, n_gt, gt_start = _by_image(gt_img, len(images))
-    det_boxes, gt_boxes = _box_array(dets_in_order), _box_array(gts)
-    ks, ious, js = [], [], []
-    for nd, ng in set(zip(n_det.tolist(), n_gt.tolist())):
-        if nd == 0:
-            continue
-        stack = np.flatnonzero((n_det == nd) & (n_gt == ng))
-        k = dets_by_img[det_start[stack, None] + np.arange(nd)]
-        j = gts_by_img[gt_start[stack, None] + np.arange(ng)]
-        tables = iou_table(det_boxes[k], gt_boxes[j])
-        b, r, c = np.nonzero(tables >= min_iou)
-        ks.append(k[b, r])
-        ious.append(tables[b, r, c])
-        js.append(j[b, c])
-    if not ks:
-        return []
-    k, v, j = np.concatenate(ks), np.concatenate(ious), np.concatenate(js)
+    Each detection is joined to its image's ground truths and the IoU of every
+    such pair is computed in one call. Returns (k, iou, j) triples, k the
+    detection's row and j the ground truth's, sorted by k, then iou
+    descending, then j."""
+    gt_order = np.argsort(gt_images, kind="stable")
+    grouped = gt_images[gt_order]
+    lo = np.searchsorted(grouped, det_images, side="left")
+    n = np.searchsorted(grouped, det_images, side="right") - lo
+    k = np.repeat(np.arange(len(det_images)), n)
+    # pair p of detection k takes ground truth lo[k] + (p - first pair of k)
+    j = gt_order[np.arange(len(k)) + np.repeat(lo - (np.cumsum(n) - n), n)]
+    v = iou_rows(det_boxes[k], gt_boxes[j])
+    kept = np.flatnonzero(v >= min_iou)
+    k, v, j = k[kept], v[kept], j[kept]
     order = np.lexsort((j, -v, k))
     return list(zip(k[order].tolist(), v[order].tolist(), j[order].tolist()))
 
@@ -232,29 +200,56 @@ def _ap_from_flags(flags, n_gt, mode):
     return float(np.cumsum(steps * envelope[hits])[-1])
 
 
-def _category_aps(dets, gts, thresholds, ap_mode):
-    """{threshold: AP} for one category: one canonical sort, one IoU table
-    per image, one greedy match and one envelope per threshold."""
+def _check_thresholds(thresholds):
+    if not thresholds:
+        raise ValueError("threshold list must be non-empty")
     for t in thresholds:
         if not 0.0 < t < 1.0:
             raise ValueError(f"iou_threshold must be in (0, 1), got {t}")
-    cats = {d.category for d in dets} | {g.category for g in gts}
-    if len(cats) > 1:
-        raise ValueError(f"mixed categories in one AP computation: {sorted(cats)}")
+
+
+def _image_codes(dets, gts):
+    """{image_id: rank in Python's string order}. Not ``np.unique``: numpy
+    strings drop trailing NULs, so 'a' and 'a\\x00' would share a code."""
+    ids = {d.image_id for d in dets} | {g.image_id for g in gts}
+    return {image: code for code, image in enumerate(sorted(ids))}
+
+
+def _category_aps(dets, gts, codes, thresholds, ap_mode):
+    """{threshold: AP} for one category: its records become arrays once (image
+    ids through ``codes``, from ``_image_codes``), then one canonical sort, one
+    IoU per same-image pair, one greedy match and one envelope per threshold."""
     if not gts or not dets:
         ap = 1.0 if not gts and not dets else 0.0
         return {t: ap for t in thresholds}
-    ordered = [dets[i] for i in sort_detections(dets)]
-    candidates = match_candidates(ordered, gts, min(thresholds))
+    det_images, gt_images = (
+        np.fromiter((codes[r.image_id] for r in side), np.int64, len(side)) for side in (dets, gts)
+    )
+    box_rows = np.dtype((np.float64, 4))  # fromiter then yields an (n, 4) array
+    det_boxes, gt_boxes = (
+        np.fromiter(((r.box.xmin, r.box.ymin, r.box.xmax, r.box.ymax) for r in side),
+                    box_rows, len(side))
+        for side in (dets, gts)
+    )
+    scores = np.fromiter((d.score for d in dets), np.float64, len(dets))
+    order = sort_detections(scores, det_images, det_boxes)
+    candidates = match_candidates(
+        det_images[order], det_boxes[order], gt_images, gt_boxes, min(thresholds)
+    )
     return {
-        t: _ap_from_flags(match_detections(candidates, len(ordered), t), len(gts), ap_mode)
+        t: _ap_from_flags(match_detections(candidates, len(dets), t), len(gts), ap_mode)
         for t in thresholds
     }
 
 
 def average_precision(dets, gts, iou_threshold, ap_mode="all-points"):
     """AP for a single category at one IoU threshold."""
-    return _category_aps(dets, gts, (iou_threshold,), ap_mode)[iou_threshold]
+    _check_thresholds((iou_threshold,))
+    cats = {d.category for d in dets} | {g.category for g in gts}
+    if len(cats) > 1:
+        raise ValueError(f"mixed categories in one AP computation: {sorted(cats)}")
+    codes = _image_codes(dets, gts)
+    return _category_aps(dets, gts, codes, (iou_threshold,), ap_mode)[iou_threshold]
 
 
 def modality_map(ap_by_category, registry):
@@ -300,7 +295,6 @@ class EvalReport:
     per_modality_map: dict  # modality -> mAP_m
     global_map: float
     hmap: float
-    thresholds: tuple = DEFAULT_THRESHOLDS
 
     def to_dict(self):
         return {
@@ -345,13 +339,13 @@ def evaluate(dets, gts, registry, thresholds=DEFAULT_THRESHOLDS, ap_mode="all-po
         by_cat_g[g.category].append(g)
 
     thresholds = tuple(thresholds)
-    if not thresholds:
-        raise ValueError("threshold list must be non-empty")
+    _check_thresholds(thresholds)
+    codes = _image_codes(dets, gts)
     # ap50 comes from the same sort and match pass as the grid
     scored = thresholds if 0.5 in thresholds else thresholds + (0.5,)
     per_category_ap = {}
     for cat in sorted(registry.categories):
-        aps = _category_aps(by_cat_d[cat], by_cat_g[cat], scored, ap_mode)
+        aps = _category_aps(by_cat_d[cat], by_cat_g[cat], codes, scored, ap_mode)
         per = {t: aps[t] for t in thresholds}
         per_category_ap[cat] = {
             "per_threshold": per,
@@ -366,5 +360,4 @@ def evaluate(dets, gts, registry, thresholds=DEFAULT_THRESHOLDS, ap_mode="all-po
         per_modality_map=per_mod,
         global_map=global_union_map(mean_aps),
         hmap=harmonic_modality_map(per_mod.values()),
-        thresholds=thresholds,
     )

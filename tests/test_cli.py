@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from babelkit import cli
+from babelkit import checks, cli
 from babelkit.deteval import EvalReport, harmonic_modality_map
 
 
@@ -235,6 +235,18 @@ class TestAlign:
         assert run(["align", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: lr must be a number, got 1000")
         assert not out.exists()
+
+    def test_integer_beyond_int64_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"steps": 10**400}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["align", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: steps must be an integer within the int64 range, got 1000")
+        assert not out.exists()
+        checks.config_int("steps", 2**63 - 1, 0)
+        with pytest.raises(ValueError, match="int64"):
+            checks.config_int("steps", 2**63, 0)
 
     def test_nonfinite_exit_3_with_step(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -527,6 +539,21 @@ class TestSample:
         out = tmp_path / "m.csv"
         assert run(["sample", "--recipe", str(recipe), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_size_beyond_int64_exit_2_before_drawing(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew an epoch for a size beyond int64")
+
+        monkeypatch.setattr(cli.S, "draw_epoch", refuse)
+        entry = {"name": "a", "size": 10**400, "sample_rate": 0.5, "tasks": ["VQA"]}
+        recipe = tmp_path / "r.json"
+        recipe.write_text(json.dumps({"seed": 0, "entries": [entry]}), encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert run(["sample", "--recipe", str(recipe), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a: size must be an integer within the int64 range, got 1000")
+        assert len(err.splitlines()) == 1
         assert not out.exists()
 
     def test_schema_error_exit_2(self, tmp_path, capsys):

@@ -17,7 +17,7 @@ from babelkit.deteval import (
     global_union_map,
     harmonic_modality_map,
     iou,
-    iou_table,
+    iou_rows,
     modality_map,
 )
 
@@ -178,7 +178,7 @@ class TestIoU:
         for _ in range(300):
             a = boxes(int(rng.integers(1, 8)))
             b = np.concatenate([boxes(int(rng.integers(0, 8))), a[:1]])
-            table = iou_table(a, b)
+            table = iou_rows(a[:, None], b[None])
             assert table.shape == (len(a), len(b))
             for i, ra in enumerate(a.tolist()):
                 for j, rb in enumerate(b.tolist()):
@@ -195,6 +195,47 @@ class TestIoU:
             Box(2, 0, 1, 1)
         with pytest.raises(ValueError, match="ymax"):
             Box(0, 2, 1, 1)
+
+
+class TestMatchCandidates:
+    def test_triples_equal_brute_force(self):
+        rng = np.random.default_rng(31)
+
+        def side(n, n_images):
+            # corners on a coarse grid make equal IoUs and zero-area boxes
+            # common; half the time the last record repeats the first
+            corners = rng.integers(0, 5, (n, 4)) * 2.0
+            boxes = np.concatenate(
+                [np.minimum(corners[:, :2], corners[:, 2:]), np.maximum(corners[:, :2], corners[:, 2:])],
+                axis=1,
+            )
+            images = rng.integers(0, n_images, n)
+            if rng.random() < 0.5:
+                images[-1], boxes[-1] = images[0], boxes[0]
+            return images, boxes
+
+        seen = {"image without gt": 0, "image without dets": 0, "duplicate box": 0}
+        for _ in range(300):
+            n_images = int(rng.integers(1, 6))
+            det_images, det_boxes = side(int(rng.integers(1, 12)), n_images)
+            gt_images, gt_boxes = side(int(rng.integers(1, 8)), n_images)
+            # IoUs of 0.25 and 0.5 occur on the grid: a pair at exactly min_iou counts
+            min_iou = float(rng.choice([0.25, 0.5, rng.uniform(0.05, 0.95)]))
+            got = deteval.match_candidates(det_images, det_boxes, gt_images, gt_boxes, min_iou)
+            want = []
+            for k, (di, db) in enumerate(zip(det_images.tolist(), det_boxes.tolist())):
+                for j, (gi, gb) in enumerate(zip(gt_images.tolist(), gt_boxes.tolist())):
+                    v = iou(Box(*db), Box(*gb))
+                    if gi == di and v >= min_iou:
+                        want.append((k, v, j))
+            want.sort(key=lambda t: (t[0], -t[1], t[2]))
+            assert [(k, v.hex(), j) for k, v, j in got] == [(k, v.hex(), j) for k, v, j in want]
+            seen["image without gt"] += bool(set(det_images.tolist()) - set(gt_images.tolist()))
+            seen["image without dets"] += bool(set(gt_images.tolist()) - set(det_images.tolist()))
+            for images, boxes in ((det_images, det_boxes), (gt_images, gt_boxes)):
+                rows = [(i, *b) for i, b in zip(images.tolist(), boxes.tolist())]
+                seen["duplicate box"] += len(set(rows)) < len(rows)
+        assert min(seen.values()) > 50, seen
 
 
 class TestAveragePrecision:
@@ -515,6 +556,21 @@ class TestEvaluate:
             assert per == {t: oracle_ap(dc, gc, t) for t in DEFAULT_THRESHOLDS}
             assert rep.per_category_ap[cat]["ap50"] == per[0.5]
         assert 0.0 < rep.global_map < 1.0
+
+    @pytest.mark.parametrize("first, second", [("a", "a\x00"), ("z", "\u00e9")])
+    def test_image_ids_rank_in_python_string_order(self, first, second):
+        """Equal scores and boxes on two images, ground truth on one: the image
+        id alone orders the two detections, and AP shows which came first."""
+        reg = ModalityRegistry({"m": ("c",)})
+        box = Box(0, 0, 10, 10)
+        for gt_image, expect in ((first, 1.0), (second, 0.5)):
+            gts = [GroundTruthEntry(gt_image, "c", box)]
+            for images in ((first, second), (second, first)):
+                dets = [Detection(image, "c", box, 0.5) for image in images]
+                assert oracle_ap(dets, gts, 0.5) == expect
+                assert average_precision(dets, gts, 0.5) == expect
+                per = evaluate(dets, gts, reg).per_category_ap["c"]["per_threshold"]
+                assert per == {t: oracle_ap(dets, gts, t) for t in DEFAULT_THRESHOLDS}
 
     def test_ap50_outside_the_grid(self):
         dets, gts, reg = self._tied_instance(np.random.default_rng(12))
