@@ -62,6 +62,13 @@ def config_field(name, obj, key):
     return obj[key]
 
 
+def config_list(name, value):
+    """ValueError unless ``value`` is a list (a JSON array) or a tuple: a
+    string or a number is not taken for a sequence of its parts."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+
+
 def config_int(name, value, low, high=None):
     """ValueError unless ``value`` is an integer, not a bool, within the
     int64 range, with ``low <= value`` and, if ``high`` is given,

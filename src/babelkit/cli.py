@@ -117,6 +117,7 @@ def run_hmap(args, h):
 
 def load_align(args):
     obj = checks.load_config(args.config or bundled_path("configs/align_default.json"))
+    checks.config_keys("config", obj, P.AlignConfig.__dataclass_fields__)
     if args.seed is not None:
         obj["seed"] = args.seed
     config = P.AlignConfig.from_dict(obj)

@@ -1,10 +1,12 @@
 """File ingestion for the evaluation stack.
 
 Detections JSONL, one object per line:
-    {"image_id": str, "modality": str, "category": str,
+    {"image_id": str, "category": str,
      "bbox": [xmin, ymin, xmax, ymax], "score": float}
 Ground truth JSONL: same minus "score".
-Registry JSON: {"modalities": {"<modality>": ["<category>", ...]}}.
+Every other key of a record, "modality" included, is ignored.
+Registry JSON: {"modalities": {"<modality>": ["<category>", ...]}}; the
+registry alone maps categories to modalities.
 
 Errors carry the 1-based line number and the offending field.
 """

@@ -17,7 +17,9 @@ import numpy as np
 
 from babelkit import pivot as P
 from babelkit import tape as T
-from babelkit.checks import NumericalError, config_field, config_int, config_keys, config_number
+from babelkit.checks import (
+    NumericalError, config_field, config_int, config_keys, config_list, config_number,
+)
 from babelkit.checks import power_iteration_extremes
 from babelkit.precision import EXACT, FP16
 from babelkit.tape import DiffTape
@@ -196,6 +198,8 @@ class HessianSpec:
     @classmethod
     def build(cls, dim, det_eigs, align_eigs, angle, plane=(0, 1)):
         config_int("hessian dim", dim, 1)
+        for name, value in (("det_eigs", det_eigs), ("align_eigs", align_eigs), ("plane", plane)):
+            config_list(f"hessian {name}", value)
         for eig in (*det_eigs, *align_eigs):
             config_number("hessian eigenvalue", eig)
         det_eigs = np.asarray(det_eigs, dtype=np.float64)
@@ -493,13 +497,15 @@ class LabConfig:
             h.get("plane", (0, 1)),
         )
         lambdas = config_field("gradlab config", obj, "lambdas")
+        config_list("lambdas", lambdas)
         for lam in lambdas:
             config_number("lambda", lam, 0)
         stability = config_field("gradlab config", obj, "stability")
         config_keys("stability", stability, ("base", "precisions"))
         base = RunConfig.from_dict(config_field("stability", stability, "base"))
         P.check_pretrain_inputs(base.align)  # the two-stage runs pretrain it
-        precisions = list(config_field("stability", stability, "precisions"))
+        precisions = config_field("stability", stability, "precisions")
+        config_list("stability precisions", precisions)
         for p in precisions:
             resolve_precision(p)
         prop3 = config_field("gradlab config", obj, "prop3")
@@ -509,7 +515,8 @@ class LabConfig:
             pretrain_steps=config_field("prop3", prop3, "pretrain_steps"),
             lr=config_field("prop3", prop3, "lr"),
         )
-        p3_seeds = list(config_field("prop3", prop3, "seeds"))
+        p3_seeds = config_field("prop3", prop3, "seeds")
+        config_list("prop3 seeds", p3_seeds)
         check_prop3_inputs(p3_run, p3_seeds)
         report = config_field("gradlab config", obj, "gradient_report")
         config_keys("gradient_report", report, ("align",))

@@ -32,7 +32,7 @@ import numpy as np
 
 from babelkit import lvsa
 from babelkit import tape as T
-from babelkit.checks import NumericalError, config_int, config_keys, config_number
+from babelkit.checks import NumericalError, config_int, config_keys, config_list, config_number
 from babelkit.lvsa import AnnealSchedule, FeaturePyramid, SelectedSet, anneal_alpha
 from babelkit.tape import DiffTape
 
@@ -288,8 +288,11 @@ class AlignConfig:
 
     def __post_init__(self):
         """Field checks, cheap enough to run before any work: integer fields
-        hold integers, sizes are positive, and the world and encoder the
-        config describes can be built."""
+        hold integers, sizes are positive, names are non-empty strings, and
+        the world and encoder the config describes can be built."""
+        for name in ("concepts", "modalities", "lvsa_selected"):
+            config_list(name, getattr(self, name))
+            setattr(self, name, tuple(getattr(self, name)))
         for name in ("image_dim", "latent_dim", "embed_dim", "token_count", "lvsa_tau"):
             config_int(name, getattr(self, name), 1)
         config_int("steps", self.steps, 0)
@@ -301,6 +304,9 @@ class AlignConfig:
             if not isinstance(flag, bool):
                 raise ValueError(f"{name} must be true or false, got {flag!r}")
         for name, names in (("concepts", self.concepts), ("modalities", self.modalities)):
+            for item in names:
+                if not isinstance(item, str) or not item:
+                    raise ValueError(f"{name} must be non-empty strings, got {item!r}")
             if len(set(names)) != len(names):
                 raise ValueError(f"{name} must be unique")
         if self.latent_dim < len(self.concepts):
@@ -316,10 +322,6 @@ class AlignConfig:
     @classmethod
     def from_dict(cls, obj):
         config_keys("config", obj, cls.__dataclass_fields__)
-        obj = dict(obj)
-        for key in ("concepts", "modalities", "lvsa_selected"):
-            if key in obj:
-                obj[key] = tuple(obj[key])
         return cls(**obj)
 
 

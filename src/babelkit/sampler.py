@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from babelkit.checks import config_field, config_int, config_keys, config_number, load_config
+from babelkit.checks import (
+    config_field, config_int, config_keys, config_list, config_number, load_config,
+)
 
 TASKS = ("VQA", "VG", "Caption", "CLS")
 
@@ -31,8 +33,7 @@ class RecipeEntry:
             raise ValueError(
                 f"{self.name}: sample_rate must be in [0, 1], got {self.sample_rate}"
             )
-        if isinstance(self.tasks, str):
-            raise ValueError(f"{self.name}: tasks must be a list, got {self.tasks!r}")
+        config_list(f"{self.name}: tasks", self.tasks)
         tasks = tuple(self.tasks)
         if not tasks:
             raise ValueError(f"{self.name}: at least one task required")

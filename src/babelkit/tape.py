@@ -11,8 +11,9 @@ is the public, self-contained entry to the same rounding.
 
 Leaves are the trainable parameters (``DiffTape.parameter``); backward
 returns a gradient for each. Every operand that does not train (a plain
-array, a tape-free Tensor) is a constant: gradient flow stops there, and
-backward computes no contribution toward it.
+array, a tape-free Tensor) is a constant, where gradient flow stops.
+Each primitive has one VJP per input, and backward calls only those toward
+inputs that train.
 
 Tensors are immutable values; a tape is single-threaded and replayable.
 Primitive arithmetic, forward, backward and replay, runs under
@@ -132,7 +133,7 @@ class DiffTape:
         Returns {name: ndarray} with the parameter's shape; parameters the
         output does not depend on get zeros. On a reduced-precision tape
         every gradient contribution and every accumulated sum is rounded
-        under the tape's mode. No contribution toward a constant is computed.
+        under the tape's mode. No VJP toward a constant is called.
         """
         if not isinstance(output, Tensor) or output.tape is not self or output.node is None:
             raise NotOnTapeError("output was not recorded on this tape")
@@ -150,13 +151,11 @@ class DiffTape:
                 if node.op in ("leaf", "const"):
                     continue  # a leaf's gradient stays in grads for the result
                 del grads[node_id]
-                # gradient flow stops at constants: their side is not computed
-                wanted = [nodes[i].op != "const" for i in node.inputs]
                 inputs = [nodes[i].output for i in node.inputs]
-                contribs = _VJPS[node.op](g, node.output, inputs, node.attrs, wanted)
-                for in_id, want, contrib in zip(node.inputs, wanted, contribs):
-                    if not want:
-                        continue
+                for in_id, vjp in zip(node.inputs, _VJPS[node.op]):
+                    if nodes[in_id].op == "const":
+                        continue  # gradient flow stops at a constant
+                    contrib = vjp(g, node.output, inputs, node.attrs)
                     if round_ is not None:
                         contrib = round_(contrib)
                     prev = grads.get(in_id)
@@ -183,18 +182,17 @@ class DiffTape:
         Returns True iff every node's output is reproduced bit for bit."""
         values = []
         ok = True
-        for node in self.nodes:
-            if node.op in ("leaf", "const"):
-                values.append(node.output)
-                continue
-            inputs = [values[i] for i in node.inputs]
-            with np.errstate(all="ignore"):
-                out = _FORWARDS[node.op](inputs, node.attrs)
+        with np.errstate(all="ignore"):
+            for node in self.nodes:
+                if node.op in ("leaf", "const"):
+                    values.append(node.output)
+                    continue
+                out = _FORWARDS[node.op]([values[i] for i in node.inputs], node.attrs)
                 if self._round is not None:
                     out = self._round(out)
-            values.append(out)
-            if out.tobytes() != node.output.tobytes():
-                ok = False
+                values.append(out)
+                if out.tobytes() != node.output.tobytes():
+                    ok = False
         return ok
 
 
@@ -252,7 +250,7 @@ def _fw_mul(inputs, attrs):
 
 def _fw_mean(inputs, attrs):
     (a,) = inputs
-    return np.mean(a, axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
+    return np.mean(a, axis=attrs["axis"], keepdims=attrs["keepdims"])
 
 
 def _fw_relu(inputs, attrs):
@@ -261,7 +259,7 @@ def _fw_relu(inputs, attrs):
 
 def _fw_softmax(inputs, attrs):
     a = inputs[0]
-    axis = attrs.get("axis", -1)
+    axis = attrs["axis"]
     shifted = a - np.max(a, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
@@ -274,7 +272,7 @@ def _fw_log(inputs, attrs):
 def _fw_gather(inputs, attrs):
     a = inputs[0]
     idx = attrs["indices"]
-    axis = attrs.get("axis", 0)
+    axis = attrs["axis"]
     if np.any(idx < 0) or np.any(idx >= a.shape[axis]):
         raise ShapeError("gather", a.shape, (f"indices up to {int(np.max(idx))}",))
     return np.take(a, idx, axis=axis)
@@ -315,87 +313,56 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-# A VJP returns one contribution per input; ``wanted`` flags the inputs
-# that are not constants. The binary VJPs leave an unwanted slot None and
-# skip its arithmetic; the unary ones ignore ``wanted``, and backward drops
-# the contribution toward a constant operand.
+# One VJP per input: ``_VJPS[op][i](g, out, inputs, attrs)`` is the
+# contribution of the output gradient ``g`` toward input ``i``.
 
 
-def _vjp_matmul(g, out, inputs, attrs, wanted):
-    a, b = inputs
-    want_a, want_b = wanted
-    return (g @ b.T if want_a else None), (a.T @ g if want_b else None)
-
-
-def _vjp_add(g, out, inputs, attrs, wanted):
-    a, b = inputs
-    want_a, want_b = wanted
-    return (
-        _unbroadcast(g, a.shape) if want_a else None,
-        _unbroadcast(g, b.shape) if want_b else None,
-    )
-
-
-def _vjp_mul(g, out, inputs, attrs, wanted):
-    a, b = inputs
-    want_a, want_b = wanted
-    return (
-        _unbroadcast(g * b, a.shape) if want_a else None,
-        _unbroadcast(g * a, b.shape) if want_b else None,
-    )
-
-
-def _vjp_mean(g, out, inputs, attrs, wanted):
+def _vjp_mean(g, out, inputs, attrs):
     (a,) = inputs
-    axis = attrs.get("axis")
+    axis = attrs["axis"]
     if axis is None:
-        return (np.broadcast_to(g / a.size, a.shape),)
-    n = a.shape[axis]
-    if not attrs.get("keepdims", False):
+        return np.broadcast_to(g / a.size, a.shape)
+    if not attrs["keepdims"]:
         g = np.expand_dims(g, axis)
-    return (np.broadcast_to(g / n, a.shape),)
+    return np.broadcast_to(g / a.shape[axis], a.shape)
 
 
-def _vjp_relu(g, out, inputs, attrs, wanted):
-    return (g * (inputs[0] > 0),)
+def _vjp_softmax(g, out, inputs, attrs):
+    dot = np.sum(g * out, axis=attrs["axis"], keepdims=True)
+    return (g - dot) * out
 
 
-def _vjp_softmax(g, out, inputs, attrs, wanted):
-    axis = attrs.get("axis", -1)
-    dot = np.sum(g * out, axis=axis, keepdims=True)
-    return ((g - dot) * out,)
-
-
-def _vjp_log(g, out, inputs, attrs, wanted):
-    return (g / inputs[0],)
-
-
-def _vjp_gather(g, out, inputs, attrs, wanted):
+def _vjp_gather(g, out, inputs, attrs):
     a = inputs[0]
     idx = attrs["indices"]
-    axis = attrs.get("axis", 0)
+    axis = attrs["axis"]
     grad = np.zeros_like(a)
     if axis == 0:
         np.add.at(grad, idx, g)
     else:
         np.add.at(np.moveaxis(grad, axis, 0), idx, np.moveaxis(np.asarray(g), axis, 0))
-    return (grad,)
-
-
-def _vjp_reshape(g, out, inputs, attrs, wanted):
-    return (np.asarray(g).reshape(inputs[0].shape),)
+    return grad
 
 
 _VJPS = {
-    "matmul": _vjp_matmul,
-    "add": _vjp_add,
-    "mul": _vjp_mul,
-    "mean": _vjp_mean,
-    "relu": _vjp_relu,
-    "softmax": _vjp_softmax,
-    "log": _vjp_log,
-    "gather": _vjp_gather,
-    "reshape": _vjp_reshape,
+    "matmul": (
+        lambda g, out, inputs, attrs: g @ inputs[1].T,
+        lambda g, out, inputs, attrs: inputs[0].T @ g,
+    ),
+    "add": (
+        lambda g, out, inputs, attrs: _unbroadcast(g, inputs[0].shape),
+        lambda g, out, inputs, attrs: _unbroadcast(g, inputs[1].shape),
+    ),
+    "mul": (
+        lambda g, out, inputs, attrs: _unbroadcast(g * inputs[1], inputs[0].shape),
+        lambda g, out, inputs, attrs: _unbroadcast(g * inputs[0], inputs[1].shape),
+    ),
+    "mean": (_vjp_mean,),
+    "relu": (lambda g, out, inputs, attrs: g * (inputs[0] > 0),),
+    "softmax": (_vjp_softmax,),
+    "log": (lambda g, out, inputs, attrs: g / inputs[0],),
+    "gather": (_vjp_gather,),
+    "reshape": (lambda g, out, inputs, attrs: np.asarray(g).reshape(inputs[0].shape),),
 }
 
 

@@ -228,6 +228,34 @@ class TestAlign:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param({"modalities": "ab"}, "modalities must be a list, got 'ab'",
+                     id="modalities-string"),
+        pytest.param({"concepts": [1, 2]}, "concepts must be non-empty strings, got 1",
+                     id="concepts-numbers"),
+        pytest.param({"concepts": ["", "x"]}, "concepts must be non-empty strings, got ''",
+                     id="concepts-empty-name"),
+        pytest.param({"lvsa_selected": 5}, "lvsa_selected must be a list, got 5",
+                     id="lvsa_selected-number"),
+    ])
+    def test_bad_name_or_list_field_names_it(self, tmp_path, capsys, bad, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(bad), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["align", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[]", '"x"'])
+    def test_seed_override_on_non_object_config(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["align", "--seed", "1", "--config", str(cfg), "--out", str(out)]) == 2
+        message = f"config must be an object, got {json.loads(text)!r}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_integer_beyond_float64_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"steps": 5, "lr": 10**400}), encoding="utf-8")
@@ -253,6 +281,21 @@ class TestAlign:
         cfg.write_text(json.dumps({"steps": 80, "lr": 1e8}), encoding="utf-8")
         assert run(["align", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "step" in capsys.readouterr().err
+
+
+def write_gradlab_config(path, updates):
+    """The bundled gradlab config with each ``"section.key": value`` of
+    ``updates`` set, written to ``path``."""
+    with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    for dotted, value in updates.items():
+        *parents, key = dotted.split(".")
+        section = cfg
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[key] = value
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(path)
 
 
 class TestGradlabConfigErrors:
@@ -333,19 +376,28 @@ class TestGradlabConfigErrors:
         pytest.param({"gradient_report.seed": 1}, id="unknown-gradient_report-key"),
     ])
     def test_bad_field_exit_2_before_any_work(self, tmp_path, capsys, updates):
-        with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        for dotted, value in updates.items():
-            *parents, key = dotted.split(".")
-            section = cfg
-            for name in parents:
-                section = section.setdefault(name, {})
-            section[key] = value
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
+        path = write_gradlab_config(tmp_path / "c.json", updates)
         out = tmp_path / "o"
-        assert run(["gradlab", "--config", str(path), "--out", str(out)]) == 2
+        assert run(["gradlab", "--config", path, "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    LIST_FIELDS = [
+        ("lambdas", 3, "lambdas"),
+        ("stability.precisions", "fp16", "stability precisions"),
+        ("prop3.seeds", 3, "prop3 seeds"),
+        ("hessian.det_eigs", 3, "hessian det_eigs"),
+        ("hessian.align_eigs", 3, "hessian align_eigs"),
+        ("hessian.plane", 3, "hessian plane"),
+        ("stability.base.align.modalities", "ab", "modalities"),
+    ]
+
+    @pytest.mark.parametrize("dotted, value, name", LIST_FIELDS, ids=[f[0] for f in LIST_FIELDS])
+    def test_list_field_not_a_list_names_it(self, tmp_path, capsys, dotted, value, name):
+        path = write_gradlab_config(tmp_path / "c.json", {dotted: value})
+        out = tmp_path / "o"
+        assert run(["gradlab", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {name} must be a list, got {value!r}\n"
         assert not out.exists()
 
 
@@ -532,6 +584,8 @@ class TestSample:
         pytest.param({"entries": [{"name": "a", "sample_rate": 1.0, "tasks": ["VQA"]}]},
                      "recipe entry is missing 'size'", id="entry-without-size"),
         pytest.param({"entries": 5}, "recipe entries must be a list, got 5", id="entries-number"),
+        pytest.param({"entries": [{"name": "a", "size": 9, "sample_rate": 1.0, "tasks": 5}]},
+                     "a: tasks must be a list, got 5", id="tasks-number"),
     ])
     def test_recipe_error_names_its_block(self, tmp_path, capsys, recipe_obj, message):
         recipe = tmp_path / "r.json"
