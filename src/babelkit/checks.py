@@ -85,6 +85,21 @@ def config_int(name, value, low, high=None):
         raise ValueError(f"{name} must be an integer within the int64 range, got {value!r}")
 
 
+# The most elements any one array that a config implies may hold: 80 MB of
+# float64, far above every bundled config and far below what would exhaust a
+# desk machine.
+MAX_ELEMENTS = 10**7
+
+
+def config_elements(name, count):
+    """ValueError unless ``count``, the element count of the array that the
+    fields ``name`` size, is at most MAX_ELEMENTS."""
+    if count > MAX_ELEMENTS:
+        raise ValueError(
+            f"{name}: {count} elements, more than the {MAX_ELEMENTS} an array may hold"
+        )
+
+
 def config_number(name, value, low=None):
     """ValueError unless ``value`` is a real number, not a bool, within the
     float64 range, and ``value >= low`` when ``low`` is given."""

@@ -8,11 +8,11 @@ Conventions (documented here because typical inputs never exercise them):
     so results are invariant under permutation of the input records.
   - A category with no ground truth and no detections scores AP 1.0; with
     detections but no ground truth, AP 0.0.
-  - Each category's records become arrays once: image codes (ids ranked in
-    Python's string order), boxes and scores. Its detections are sorted once
-    and the IoU of each same-image (detection, ground truth) pair is computed
-    once; the greedy match and the envelope then run once per threshold over
-    those.
+  - Records become arrays once per evaluation: image codes (ids ranked in
+    Python's string order), boxes and scores; each category gets slices of
+    them. Its detections are sorted once and the IoU of each same-image
+    (detection, ground truth) pair is computed once; the greedy match and
+    the envelope then run once per threshold over those.
 
 All internal values are fractions in [0, 1]; rendering as percent is a
 presentation concern (see cli).
@@ -75,6 +75,8 @@ class ModalityRegistry:
             if not cats:
                 raise ValueError(f"modality {m!r} has no categories")
             for c in cats:
+                if self.category_map.get(c) == m:
+                    raise ValueError(f"category {c!r} is listed twice in modality {m!r}")
                 if c in self.category_map:
                     raise ValueError(f"category {c!r} appears in more than one modality")
                 self.category_map[c] = m
@@ -208,48 +210,56 @@ def _check_thresholds(thresholds):
             raise ValueError(f"iou_threshold must be in (0, 1), got {t}")
 
 
-def _image_codes(dets, gts):
-    """{image_id: rank in Python's string order}. Not ``np.unique``: numpy
-    strings drop trailing NULs, so 'a' and 'a\\x00' would share a code."""
-    ids = {d.image_id for d in dets} | {g.image_id for g in gts}
-    return {image: code for code, image in enumerate(sorted(ids))}
-
-
-def _category_aps(dets, gts, codes, thresholds, ap_mode):
-    """{threshold: AP} for one category: its records become arrays once (image
-    ids through ``codes``, from ``_image_codes``), then one canonical sort, one
-    IoU per same-image pair, one greedy match and one envelope per threshold."""
-    if not gts or not dets:
-        ap = 1.0 if not gts and not dets else 0.0
-        return {t: ap for t in thresholds}
-    det_images, gt_images = (
-        np.fromiter((codes[r.image_id] for r in side), np.int64, len(side)) for side in (dets, gts)
-    )
-    box_rows = np.dtype((np.float64, 4))  # fromiter then yields an (n, 4) array
-    det_boxes, gt_boxes = (
-        np.fromiter(((r.box.xmin, r.box.ymin, r.box.xmax, r.box.ymax) for r in side),
-                    box_rows, len(side))
-        for side in (dets, gts)
-    )
+def _columns(dets, gts, registry):
+    """Image codes and (n, 4) boxes of detections then ground truth, the
+    scores, and each registered category's detection and ground-truth rows
+    (sorted categories, rows in input order). Image codes rank ids in Python's
+    string order: ``np.unique`` drops trailing NULs, so 'a' and 'a\\x00' would
+    share one. Each distinct category meets the registry once, first seen first."""
+    records = [*dets, *gts]
+    rank = {image: code for code, image in enumerate(sorted({r.image_id for r in records}))}
+    seen = {}
+    codes = np.fromiter((seen.setdefault(r.category, len(seen)) for r in records), np.int64)
+    for cat in seen:
+        registry.modality_of(cat)
+    order = {cat: i for i, cat in enumerate(sorted(registry.categories))}
+    key = np.array([order[cat] for cat in seen], dtype=np.int64)[codes]
+    key[len(dets):] += len(order)  # ground-truth groups follow the detection groups
+    rows = np.split(np.argsort(key, kind="stable"),
+                    np.cumsum(np.bincount(key, minlength=2 * len(order)))[:-1])
+    images = np.fromiter((rank[r.image_id] for r in records), np.int64, len(records))
+    boxes = np.fromiter(((r.box.xmin, r.box.ymin, r.box.xmax, r.box.ymax) for r in records),
+                        np.dtype((np.float64, 4)), len(records))  # an (n, 4) array
     scores = np.fromiter((d.score for d in dets), np.float64, len(dets))
+    return images, boxes, scores, rows[:len(order)], rows[len(order):]
+
+
+def _category_aps(det_images, det_boxes, scores, gt_images, gt_boxes, thresholds, ap_mode):
+    """{threshold: AP} for one category's arrays: one canonical sort, one IoU
+    per same-image pair, one greedy match and one envelope per threshold."""
+    n_dets, n_gts = len(det_images), len(gt_images)
+    if not n_gts or not n_dets:
+        ap = 1.0 if not n_gts and not n_dets else 0.0
+        return {t: ap for t in thresholds}
     order = sort_detections(scores, det_images, det_boxes)
     candidates = match_candidates(
         det_images[order], det_boxes[order], gt_images, gt_boxes, min(thresholds)
     )
     return {
-        t: _ap_from_flags(match_detections(candidates, len(dets), t), len(gts), ap_mode)
+        t: _ap_from_flags(match_detections(candidates, n_dets, t), n_gts, ap_mode)
         for t in thresholds
     }
 
 
 def average_precision(dets, gts, iou_threshold, ap_mode="all-points"):
-    """AP for a single category at one IoU threshold."""
+    """AP for a single category at one IoU threshold, as ``evaluate`` scores it."""
     _check_thresholds((iou_threshold,))
     cats = {d.category for d in dets} | {g.category for g in gts}
     if len(cats) > 1:
         raise ValueError(f"mixed categories in one AP computation: {sorted(cats)}")
-    codes = _image_codes(dets, gts)
-    return _category_aps(dets, gts, codes, (iou_threshold,), ap_mode)[iou_threshold]
+    cat = cats.pop() if cats else ""
+    report = evaluate(dets, gts, ModalityRegistry({"": (cat,)}), (iou_threshold,), ap_mode)
+    return report.per_category_ap[cat]["per_threshold"][iou_threshold]
 
 
 def modality_map(ap_by_category, registry):
@@ -326,26 +336,14 @@ class EvalReport:
 
 def evaluate(dets, gts, registry, thresholds=DEFAULT_THRESHOLDS, ap_mode="all-points"):
     """Full pipeline: per-category APs, modality mAPs, global mAP, H-mAP."""
-    for d in dets:
-        registry.modality_of(d.category)
-    for g in gts:
-        registry.modality_of(g.category)
-
-    by_cat_d = {c: [] for c in registry.categories}
-    by_cat_g = {c: [] for c in registry.categories}
-    for d in dets:
-        by_cat_d[d.category].append(d)
-    for g in gts:
-        by_cat_g[g.category].append(g)
-
+    images, boxes, scores, det_rows, gt_rows = _columns(dets, gts, registry)
     thresholds = tuple(thresholds)
     _check_thresholds(thresholds)
-    codes = _image_codes(dets, gts)
     # ap50 comes from the same sort and match pass as the grid
     scored = thresholds if 0.5 in thresholds else thresholds + (0.5,)
     per_category_ap = {}
-    for cat in sorted(registry.categories):
-        aps = _category_aps(by_cat_d[cat], by_cat_g[cat], codes, scored, ap_mode)
+    for cat, d, g in zip(sorted(registry.categories), det_rows, gt_rows):
+        aps = _category_aps(images[d], boxes[d], scores[d], images[g], boxes[g], scored, ap_mode)
         per = {t: aps[t] for t in thresholds}
         per_category_ap[cat] = {
             "per_threshold": per,

@@ -32,7 +32,9 @@ import numpy as np
 
 from babelkit import lvsa
 from babelkit import tape as T
-from babelkit.checks import NumericalError, config_int, config_keys, config_list, config_number
+from babelkit.checks import (
+    NumericalError, config_elements, config_int, config_keys, config_list, config_number,
+)
 from babelkit.lvsa import AnnealSchedule, FeaturePyramid, SelectedSet, anneal_alpha
 from babelkit.tape import DiffTape
 
@@ -313,6 +315,20 @@ class AlignConfig:
             raise ValueError("latent_dim must be >= number of concepts")
         if self.image_dim < self.latent_dim:
             raise ValueError("image_dim must be >= latent_dim")
+        n_c, n_m, d_e = len(self.concepts), len(self.modalities), self.embed_dim
+        vocab = 2 + 2 * n_c  # ConceptVocabulary.build: a 2-token prompt, 2 tokens a concept
+        for name, count in (
+            ("image_dim x token_count*embed_dim (encoder weight)",
+             self.image_dim * self.token_count * d_e),
+            ("embed_dim x embed_dim (encoder weight)", d_e * d_e),
+            ("concepts*modalities x token_count*embed_dim (visual tokens)",
+             n_c * n_m * self.token_count * d_e),
+            ("image_dim x latent_dim (generator mixing)", self.image_dim * self.latent_dim),
+            ("vocabulary x embed_dim (pivot embedding)", vocab * d_e),
+            ("3*concepts x vocabulary (pivot calibration)", 3 * n_c * vocab),
+            ("2*concepts*modalities x vocabulary (logits)", 2 * n_c * n_m * vocab),
+        ):
+            config_elements(name, count)
         for index in self.lvsa_selected:
             config_int("lvsa_selected index", index, 1)
         selected = SelectedSet(tuple(self.lvsa_selected))

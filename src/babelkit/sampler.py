@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from babelkit.checks import (
-    config_field, config_int, config_keys, config_list, config_number, load_config,
+    config_elements, config_field, config_int, config_keys, config_list, config_number,
+    load_config,
 )
 
 TASKS = ("VQA", "VG", "Caption", "CLS")
@@ -28,6 +29,7 @@ class RecipeEntry:
         if not isinstance(self.name, str) or not self.name:
             raise ValueError(f"dataset name must be a non-empty string, got {self.name!r}")
         config_int(f"{self.name}: size", self.size, 1)
+        config_elements(f"{self.name}: size", self.size)
         config_number(f"{self.name}: sample_rate", self.sample_rate)
         if not 0.0 <= self.sample_rate <= 1.0:
             raise ValueError(

@@ -42,13 +42,17 @@ class NotOnTapeError(ValueError):
 
 
 class Tensor:
-    """Immutable dense array, optionally attached to a tape node."""
+    """Immutable dense array, optionally attached to a tape node. A caller's
+    array that is still writeable is copied, never frozen in place."""
 
     __slots__ = ("data", "tape", "node")
 
     def __init__(self, data, tape=None, node=None):
         arr = np.asarray(data, dtype=np.float64)
-        arr.flags.writeable = False
+        if arr.flags.writeable:
+            if isinstance(data, np.ndarray):
+                arr = arr.copy()
+            arr.flags.writeable = False
         self.data = arr
         self.tape = tape
         self.node = node
@@ -90,6 +94,7 @@ class DiffTape:
         if name in self.parameters:
             raise ValueError(f"duplicate parameter name {name!r}")
         arr = np.array(data, dtype=np.float64)
+        arr.flags.writeable = False  # frozen here, so the Tensor need not copy it
         node_id = len(self.nodes)
         self.nodes.append(Node("leaf", (), {}, arr))
         self.parameters[name] = node_id
@@ -97,6 +102,7 @@ class DiffTape:
 
     def constant(self, data):
         arr = np.array(data, dtype=np.float64)
+        arr.flags.writeable = False
         node_id = len(self.nodes)
         self.nodes.append(Node("const", (), {}, arr))
         return Tensor(arr, self, node_id)
@@ -207,9 +213,11 @@ def _tape_of(*xs):
 
 
 def _plain(x):
+    """``x``'s read-only data; a caller's writeable array is copied, so no
+    primitive output is a view of memory the caller can still write."""
     if isinstance(x, Tensor):
         return x.data
-    return np.asarray(x, dtype=np.float64)
+    return Tensor(x).data
 
 
 def _apply(op, attrs, *xs):
@@ -220,6 +228,10 @@ def _apply(op, attrs, *xs):
         out = _FORWARDS[op]([_plain(x) for x in xs], attrs)
         if tape is not None and tape._round is not None:
             out = tape._round(out)
+    # a fresh array or a view of frozen inputs (a 0-d operation gives a numpy
+    # scalar instead): frozen here, the Tensor need not copy it
+    if isinstance(out, np.ndarray):
+        out.flags.writeable = False
     if tape is None:
         return Tensor(out)
     return tape._record(op, xs, attrs, out)

@@ -276,6 +276,20 @@ class TestAlign:
         with pytest.raises(ValueError, match="int64"):
             checks.config_int("steps", 2**63, 0)
 
+    @pytest.mark.parametrize("field", ["token_count", "embed_dim"])
+    def test_oversized_array_exit_2_before_out(self, tmp_path, capsys, monkeypatch, field):
+        def refuse(config):
+            raise AssertionError("built a world for an oversized config")
+
+        monkeypatch.setattr(cli.P, "build_world", refuse)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"steps": 3, field: 10**8}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["align", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_nonfinite_exit_3_with_step(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"steps": 80, "lr": 1e8}), encoding="utf-8")
@@ -380,6 +394,20 @@ class TestGradlabConfigErrors:
         out = tmp_path / "o"
         assert run(["gradlab", "--config", path, "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block", ["stability.base.align", "prop3.align",
+                                       "gradient_report.align"])
+    def test_oversized_align_block_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                          block):
+        def refuse(*args):
+            raise AssertionError("ran the sweep for an oversized config")
+
+        monkeypatch.setattr(cli.gradlab, "conditioning_sweep", refuse)
+        path = write_gradlab_config(tmp_path / "c.json", {f"{block}.token_count": 10**8})
+        out = tmp_path / "o"
+        assert run(["gradlab", "--config", path, "--out", str(out)]) == 2
+        assert "token_count" in capsys.readouterr().err
         assert not out.exists()
 
     LIST_FIELDS = [
@@ -608,6 +636,20 @@ class TestSample:
         err = capsys.readouterr().err
         assert err.startswith("error: a: size must be an integer within the int64 range, got 1000")
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_oversized_entry_exit_2_before_drawing(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew an epoch for an oversized entry")
+
+        monkeypatch.setattr(cli.S, "draw_epoch", refuse)
+        entry = {"name": "a", "size": 10**15, "sample_rate": 0.5, "tasks": ["VQA"]}
+        recipe = tmp_path / "r.json"
+        recipe.write_text(json.dumps({"seed": 0, "entries": [entry]}), encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert run(["sample", "--recipe", str(recipe), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a: size: ") and len(err.splitlines()) == 1
         assert not out.exists()
 
     def test_schema_error_exit_2(self, tmp_path, capsys):

@@ -448,6 +448,11 @@ class TestRegistry:
         with pytest.raises(ValueError):
             ModalityRegistry({"a": ()})
 
+    def test_duplicate_within_one_modality_names_it(self):
+        with pytest.raises(ValueError) as exc:
+            ModalityRegistry({"sar": ("ship", "ship")})
+        assert str(exc.value) == "category 'ship' is listed twice in modality 'sar'"
+
 
 class TestEvaluate:
     def _registry(self):
@@ -607,6 +612,15 @@ class TestEvaluate:
         reg = self._registry()
         with pytest.raises(KeyError):
             evaluate([Detection("i", "ufo", Box(0, 0, 1, 1), 0.5)], [], reg)
+
+    def test_first_unregistered_detection_category_named(self):
+        # detections carry two unregistered categories, ground truth a third:
+        # the first one the detections list is named, not the smallest name
+        box = Box(0, 0, 1, 1)
+        dets = [Detection("i", c, box, 0.5) for c in ("ship", "zeppelin", "balloon")]
+        gts = [GroundTruthEntry("i", c, box) for c in ("ship", "airship")]
+        with pytest.raises(KeyError, match="'zeppelin' is not registered"):
+            evaluate(dets, gts, self._registry())
 
     def test_csv_rows_format(self):
         dets, gts, reg = self._perfect()

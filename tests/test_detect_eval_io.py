@@ -64,6 +64,22 @@ class TestLoadDetections:
                 load_detections(p)
             assert str(exc.value) == f"{p}:2: field {key!r} must be a non-empty string"
 
+    def test_first_faulty_line_reported(self, tmp_path):
+        good = '{"image_id": "a", "category": "c", "bbox": [0, 0, 1, 1], "score": 0.5}'
+        nan_box = '{"image_id": "a", "category": "c", "bbox": [0, NaN, 1, 1], "score": 0.5}'
+        no_image = '{"category": "c", "bbox": [0, 0, 1, 1], "score": 0.5}'
+        p = write(tmp_path / "det.jsonl", [good, nan_box, no_image])
+        with pytest.raises(RecordError, match="bbox") as exc:
+            load_detections(p)
+        assert exc.value.line_no == 2
+
+    def test_box_checked_before_image_id(self, tmp_path):
+        both = '{"category": "c", "bbox": [0, NaN, 1, 1], "score": 0.5}'
+        p = write(tmp_path / "det.jsonl", [both])
+        with pytest.raises(RecordError) as exc:
+            load_detections(p)
+        assert str(exc.value).startswith(f"{p}:1: field 'bbox': ")
+
     @pytest.mark.parametrize("score", [True, False, "0.5"])
     def test_non_number_score_rejected(self, tmp_path, score):
         bad = {"image_id": "a", "category": "c", "bbox": [0, 0, 1, 1], "score": score}

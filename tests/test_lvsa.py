@@ -57,6 +57,15 @@ class TestTypes:
         with pytest.raises(ValueError, match="layer 2"):
             FeaturePyramid([np.ones((2, 2)), np.ones((2, 3))])
 
+    def test_fuse_leaves_plain_arrays_writeable(self):
+        a, b = np.ones((2, 3)), np.zeros((2, 3))
+        pyramid = FeaturePyramid([a, b])
+        out = fuse(pyramid, SelectedSet((1, 2)), 0.5)
+        a[0, 0] = b[0, 0] = 7.0
+        np.testing.assert_array_equal(pyramid.layer(1).data, np.ones((2, 3)))
+        np.testing.assert_array_equal(out.data, np.full((2, 3), 0.25))
+        assert not out.data.flags.writeable
+
 
 class TestAnnealAlpha:
     def test_schedule_values(self):

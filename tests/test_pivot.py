@@ -1,10 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from babelkit import checks
 from babelkit import pivot as P
 from babelkit.checks import finite_diff_check
+from babelkit.cli import bundled_path
 from babelkit.tape import DiffTape
 
 
@@ -258,6 +261,21 @@ class TestPretrain:
             P.pretrain_align(P.AlignConfig(modalities=("only",)))
         with pytest.raises(ValueError):
             P.AlignConfig.from_dict({"bogus_key": 1})
+
+    @pytest.mark.parametrize("field", ["image_dim", "embed_dim", "token_count"])
+    def test_array_size_bounded_at_parse(self, field):
+        # parsing must refuse before any array of that size is allocated
+        with pytest.raises(ValueError, match=f"{field}.*more than the {checks.MAX_ELEMENTS} "):
+            P.AlignConfig.from_dict({field: 10**8})
+
+    def test_bundled_config_within_bound(self):
+        with open(bundled_path("configs/align_default.json"), encoding="utf-8") as fh:
+            cfg = P.AlignConfig.from_dict(json.load(fh))
+        _, _, _, encoder = P.build_world(cfg)
+        assert max(a.size for a in encoder.params.values()) == 768 < checks.MAX_ELEMENTS
+        checks.config_elements("x", checks.MAX_ELEMENTS)
+        with pytest.raises(ValueError, match="x: 10000001 elements"):
+            checks.config_elements("x", checks.MAX_ELEMENTS + 1)
 
 
 class TestConsistency:

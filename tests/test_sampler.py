@@ -78,6 +78,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             MixtureRecipe(())
 
+    def test_entry_size_bounded_at_parse(self):
+        entry = {"name": "a", "size": 10**15, "sample_rate": 0.5, "tasks": ["VQA"]}
+        with pytest.raises(ValueError, match="^a: size: 1000000000000000 elements"):
+            MixtureRecipe.from_dict({"entries": [entry]})
+        assert max(e.size for e in bundled().entries) == 1_394_000
+
     def test_bundled_recipe_shape(self):
         recipe = bundled()
         assert len(recipe.entries) == 12

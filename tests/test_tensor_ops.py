@@ -225,6 +225,24 @@ class TestReplayAndPrecision:
         np.testing.assert_array_equal(out.data, [4.0, 6.0])
         assert out.tape is None
 
+    def test_tensor_leaves_callers_array_writeable(self):
+        x = np.array([1.0, 2.0])
+        t = Tensor(x)
+        x[0] = 5.0
+        np.testing.assert_array_equal(t.data, [1.0, 2.0])
+        assert not t.data.flags.writeable
+        r = T.reshape(x, (2, 1))  # a tape-free view would alias x
+        x[1] = 6.0
+        np.testing.assert_array_equal(r.data, [[5.0], [2.0]])
+
+    def test_tape_arrays_wrapped_without_copy(self):
+        tp = DiffTape()
+        p = tp.parameter([1.0, 2.0], "p")
+        out = T.mul(p, 2.0)
+        assert p.data is tp.nodes[p.node].output
+        assert out.data is tp.nodes[out.node].output
+        assert not out.data.flags.writeable
+
 
 def _align_step(mode):
     """One training step of the bundled alignment setup on a ``mode`` tape:
