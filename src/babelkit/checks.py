@@ -29,8 +29,9 @@ class PowerIterationError(NumericalError):
 
 
 def load_config(path):
-    """A JSON input file; invalid JSON, NaN, Infinity and numbers that
-    overflow to inf are input errors (ValueError) that name the file."""
+    """A JSON input file; bytes that are not UTF-8, invalid JSON, NaN,
+    Infinity and numbers that overflow to inf are input errors (ValueError)
+    that name the file."""
 
     def finite(text):
         v = float(text)
@@ -43,6 +44,8 @@ def load_config(path):
             return json.load(fh, parse_float=finite, parse_constant=finite)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: invalid UTF-8: {exc}") from None
 
 
 def config_keys(name, obj, known):

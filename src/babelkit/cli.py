@@ -79,6 +79,9 @@ def load_eval(args):
     """Evaluating is the check that every category is registered."""
     registry = deteval_io.load_registry(args.registry)
     gts = deteval_io.load_ground_truth(args.gt)
+    if not len(gts):
+        # scored, every category would read AP 1.0 or 0.0 whatever the detections
+        raise ValueError(f"{args.gt}: no ground-truth records")
     dets = deteval_io.load_detections(args.det)
     report = deteval.evaluate(dets, gts, registry, ap_mode=args.ap_mode)
     os.makedirs(args.out, exist_ok=True)

@@ -8,11 +8,12 @@ Conventions (documented here because typical inputs never exercise them):
     so results are invariant under permutation of the input records.
   - A category with no ground truth and no detections scores AP 1.0; with
     detections but no ground truth, AP 0.0.
-  - Records become arrays once per evaluation: image codes (ids ranked in
-    Python's string order), boxes and scores; each category gets slices of
-    them. Its detections are sorted once and the IoU of each same-image
-    (detection, ground truth) pair is computed once; the greedy match and
-    the envelope then run once per threshold over those.
+  - Records are arrays from ingest onward: ``evaluate`` takes two
+    ``Records`` column sets (the loaders in ``deteval_io`` return them), ranks
+    image ids in Python's string order and gives each category slices of the
+    boxes and scores. Its detections are sorted once and the IoU of each
+    same-image (detection, ground truth) pair is computed once; the greedy
+    match and the envelope then run once per threshold over those.
 
 All internal values are fractions in [0, 1]; rendering as percent is a
 presentation concern (see cli).
@@ -26,6 +27,20 @@ import numpy as np
 DEFAULT_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
 
+def check_box(xmin, ymin, xmax, ymax):
+    """ValueError unless the corners are ordered (xmin <= xmax, ymin <= ymax)."""
+    if xmax < xmin:
+        raise ValueError(f"xmax {xmax} < xmin {xmin}")
+    if ymax < ymin:
+        raise ValueError(f"ymax {ymax} < ymin {ymin}")
+
+
+def check_score(score):
+    """ValueError unless the score lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"score must be in [0, 1], got {score}")
+
+
 @dataclass(frozen=True, slots=True)
 class Box:
     xmin: float
@@ -34,10 +49,7 @@ class Box:
     ymax: float
 
     def __post_init__(self):
-        if self.xmax < self.xmin:
-            raise ValueError(f"xmax {self.xmax} < xmin {self.xmin}")
-        if self.ymax < self.ymin:
-            raise ValueError(f"ymax {self.ymax} < ymin {self.ymin}")
+        check_box(self.xmin, self.ymin, self.xmax, self.ymax)
 
     @property
     def area(self):
@@ -52,8 +64,7 @@ class Detection:
     score: float
 
     def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
+        check_score(self.score)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,6 +72,37 @@ class GroundTruthEntry:
     image_id: str
     category: str
     box: Box
+
+
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Detections or ground truth as columns: row i is ``image_ids[i]``,
+    ``categories[i]``, ``boxes[i]`` ([xmin, ymin, xmax, ymax]) and, for
+    detections, ``scores[i]``. Ground truth has ``scores`` None."""
+
+    image_ids: list
+    categories: list
+    boxes: np.ndarray  # (n, 4) float64
+    scores: np.ndarray | None = None  # (n,) float64
+
+    def __len__(self):
+        return len(self.image_ids)
+
+    @classmethod
+    def of(cls, objects):
+        """The columns of ``Detection`` or ``GroundTruthEntry`` objects; an
+        empty list gives detections with no rows."""
+        objects = list(objects)
+        boxes = [(o.box.xmin, o.box.ymin, o.box.xmax, o.box.ymax) for o in objects]
+        scores = None
+        if all(isinstance(o, Detection) for o in objects):
+            scores = np.array([o.score for o in objects], dtype=np.float64)
+        return cls(
+            [o.image_id for o in objects],
+            [o.category for o in objects],
+            np.array(boxes, dtype=np.float64).reshape(-1, 4),
+            scores,
+        )
 
 
 class ModalityRegistry:
@@ -211,27 +253,24 @@ def _check_thresholds(thresholds):
 
 
 def _columns(dets, gts, registry):
-    """Image codes and (n, 4) boxes of detections then ground truth, the
-    scores, and each registered category's detection and ground-truth rows
-    (sorted categories, rows in input order). Image codes rank ids in Python's
-    string order: ``np.unique`` drops trailing NULs, so 'a' and 'a\\x00' would
-    share one. Each distinct category meets the registry once, first seen first."""
-    records = [*dets, *gts]
-    rank = {image: code for code, image in enumerate(sorted({r.image_id for r in records}))}
-    seen = {}
-    codes = np.fromiter((seen.setdefault(r.category, len(seen)) for r in records), np.int64)
-    for cat in seen:
+    """Image codes and (n, 4) boxes of detections then ground truth, and each
+    registered category's detection and ground-truth rows (sorted categories,
+    rows in input order). Image codes rank ids in Python's string order:
+    ``np.unique`` drops trailing NULs, so 'a' and 'a\\x00' would share one.
+    Each distinct category meets the registry once, first seen first."""
+    ids = dets.image_ids + gts.image_ids
+    cats = dets.categories + gts.categories
+    rank = {image: code for code, image in enumerate(sorted(set(ids)))}
+    for cat in dict.fromkeys(cats):
         registry.modality_of(cat)
     order = {cat: i for i, cat in enumerate(sorted(registry.categories))}
-    key = np.array([order[cat] for cat in seen], dtype=np.int64)[codes]
+    key = np.fromiter(map(order.__getitem__, cats), np.int64, len(cats))
     key[len(dets):] += len(order)  # ground-truth groups follow the detection groups
     rows = np.split(np.argsort(key, kind="stable"),
                     np.cumsum(np.bincount(key, minlength=2 * len(order)))[:-1])
-    images = np.fromiter((rank[r.image_id] for r in records), np.int64, len(records))
-    boxes = np.fromiter(((r.box.xmin, r.box.ymin, r.box.xmax, r.box.ymax) for r in records),
-                        np.dtype((np.float64, 4)), len(records))  # an (n, 4) array
-    scores = np.fromiter((d.score for d in dets), np.float64, len(dets))
-    return images, boxes, scores, rows[:len(order)], rows[len(order):]
+    images = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
+    boxes = np.concatenate([dets.boxes, gts.boxes])
+    return images, boxes, rows[:len(order)], rows[len(order):]
 
 
 def _category_aps(det_images, det_boxes, scores, gt_images, gt_boxes, thresholds, ap_mode):
@@ -252,13 +291,15 @@ def _category_aps(det_images, det_boxes, scores, gt_images, gt_boxes, thresholds
 
 
 def average_precision(dets, gts, iou_threshold, ap_mode="all-points"):
-    """AP for a single category at one IoU threshold, as ``evaluate`` scores it."""
+    """AP of ``Detection`` and ``GroundTruthEntry`` objects of a single
+    category at one IoU threshold, as ``evaluate`` scores their columns."""
     _check_thresholds((iou_threshold,))
     cats = {d.category for d in dets} | {g.category for g in gts}
     if len(cats) > 1:
         raise ValueError(f"mixed categories in one AP computation: {sorted(cats)}")
     cat = cats.pop() if cats else ""
-    report = evaluate(dets, gts, ModalityRegistry({"": (cat,)}), (iou_threshold,), ap_mode)
+    registry = ModalityRegistry({"": (cat,)})
+    report = evaluate(Records.of(dets), Records.of(gts), registry, (iou_threshold,), ap_mode)
     return report.per_category_ap[cat]["per_threshold"][iou_threshold]
 
 
@@ -335,8 +376,10 @@ class EvalReport:
 
 
 def evaluate(dets, gts, registry, thresholds=DEFAULT_THRESHOLDS, ap_mode="all-points"):
-    """Full pipeline: per-category APs, modality mAPs, global mAP, H-mAP."""
-    images, boxes, scores, det_rows, gt_rows = _columns(dets, gts, registry)
+    """Full pipeline: per-category APs, modality mAPs, global mAP, H-mAP, for
+    detections ``dets`` and ground truth ``gts``, each a ``Records``."""
+    images, boxes, det_rows, gt_rows = _columns(dets, gts, registry)
+    scores = dets.scores
     thresholds = tuple(thresholds)
     _check_thresholds(thresholds)
     # ap50 comes from the same sort and match pass as the grid

@@ -8,14 +8,22 @@ Every other key of a record, "modality" included, is ignored.
 Registry JSON: {"modalities": {"<modality>": ["<category>", ...]}}; the
 registry alone maps categories to modalities.
 
-Errors carry the 1-based line number and the offending field.
+``load_detections`` and ``load_ground_truth`` return one ``Records`` column
+set each (id and category lists, an (n, 4) float64 box array and, for
+detections, a score array) and build no object per record. Each line is
+decoded and checked on its own, so every error names the file, the
+1-based line number and the offending field; bytes that are not UTF-8 are
+such an error too, with their position in the line.
 """
 
 import json
 from math import isfinite
+from sys import intern
+
+import numpy as np
 
 from babelkit.checks import load_config
-from babelkit.deteval import Box, Detection, GroundTruthEntry, ModalityRegistry
+from babelkit.deteval import ModalityRegistry, Records, check_box, check_score
 
 
 class RecordError(ValueError):
@@ -26,9 +34,11 @@ class RecordError(ValueError):
 
 
 _NUMBER_TYPES = frozenset((int, float))
+_DECODER = json.JSONDecoder()
 
 
 def _parse_box(obj, path, line_no):
+    """The record's four corners as floats."""
     bbox = obj.get("bbox")
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise RecordError(path, line_no, "field 'bbox' must be [xmin, ymin, xmax, ymax]")
@@ -36,23 +46,37 @@ def _parse_box(obj, path, line_no):
     if not _NUMBER_TYPES.issuperset(map(type, bbox)):
         raise RecordError(path, line_no, f"field 'bbox': coordinates must be numbers, got {bbox}")
     try:
-        xmin, ymin, xmax, ymax = map(float, bbox)
+        xmin, ymin, xmax, ymax = corners = tuple(map(float, bbox))
         if not (isfinite(xmin) and isfinite(ymin) and isfinite(xmax) and isfinite(ymax)):
             raise ValueError(f"coordinates must be finite, got {bbox}")
-        return Box(xmin, ymin, xmax, ymax)
+        check_box(*corners)
+        return corners
     except (ValueError, OverflowError) as exc:
         raise RecordError(path, line_no, f"field 'bbox': {exc}") from None
 
 
 def _iter_records(path):
-    with open(path, encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, which no valid UTF-8 line holds
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise RecordError(path, line_no, f"invalid UTF-8: {exc}") from None
+            text = line.strip(" \t\n\r")
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(path, line_no, f"invalid JSON: {exc}") from None
+                obj, end = _DECODER.raw_decode(text)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(text):
+                # json.loads words the error, with columns counted in the whole line
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise RecordError(path, line_no, f"invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise RecordError(path, line_no, "record must be a JSON object")
             yield line_no, obj
@@ -62,37 +86,39 @@ def _require_str(obj, key, path, line_no):
     v = obj.get(key)
     if not isinstance(v, str) or not v:
         raise RecordError(path, line_no, f"field {key!r} must be a non-empty string")
-    return v
+    # one object per distinct id or category, not one per row
+    return intern(v)
+
+
+def _boxes(corners):
+    return np.array(corners, dtype=np.float64).reshape(-1, 4)
 
 
 def load_detections(path):
-    out = []
+    image_ids, categories, corners, scores = [], [], [], []
     for line_no, obj in _iter_records(path):
-        box = _parse_box(obj, path, line_no)
+        corners.extend(_parse_box(obj, path, line_no))
         score = obj.get("score")
         if type(score) not in _NUMBER_TYPES:
             raise RecordError(path, line_no, "field 'score' must be a number")
-        image_id = _require_str(obj, "image_id", path, line_no)
-        category = _require_str(obj, "category", path, line_no)
+        image_ids.append(_require_str(obj, "image_id", path, line_no))
+        categories.append(_require_str(obj, "category", path, line_no))
         try:
-            det = Detection(image_id=image_id, category=category, box=box, score=float(score))
+            score = float(score)
+            check_score(score)
         except (ValueError, OverflowError) as exc:
             raise RecordError(path, line_no, f"field 'score': {exc}") from None
-        out.append(det)
-    return out
+        scores.append(score)
+    return Records(image_ids, categories, _boxes(corners), np.array(scores, dtype=np.float64))
 
 
 def load_ground_truth(path):
-    out = []
+    image_ids, categories, corners = [], [], []
     for line_no, obj in _iter_records(path):
-        out.append(
-            GroundTruthEntry(
-                image_id=_require_str(obj, "image_id", path, line_no),
-                category=_require_str(obj, "category", path, line_no),
-                box=_parse_box(obj, path, line_no),
-            )
-        )
-    return out
+        image_ids.append(_require_str(obj, "image_id", path, line_no))
+        categories.append(_require_str(obj, "category", path, line_no))
+        corners.extend(_parse_box(obj, path, line_no))
+    return Records(image_ids, categories, _boxes(corners))
 
 
 def load_registry(path):

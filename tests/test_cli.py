@@ -132,6 +132,33 @@ class TestEval:
         assert "error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_undecodable_record_names_file_and_line(self, fixture_dir, capsys):
+        tmp_path, reg, gt, det, _ = fixture_dir
+        lines = open(det, "rb").read().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"img"', b'"im\xffg"')
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"".join(lines))
+        out = tmp_path / "o"
+        assert run(["eval", "--gt", gt, "--det", str(bad), "--registry", reg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}:2: invalid UTF-8: ")
+        assert "byte 0xff in position 16: invalid start byte" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_ground_truth_exit_2(self, fixture_dir, capsys, text):
+        # scored, every category would have neither ground truth nor
+        # detections: mAP=100.00 H-mAP=100.00
+        tmp_path, reg, _, _, _ = fixture_dir
+        gt, det = tmp_path / "gt0.jsonl", tmp_path / "det0.jsonl"
+        gt.write_text(text, encoding="utf-8")
+        det.write_text("", encoding="utf-8")
+        out = tmp_path / "o"
+        argv = ["eval", "--gt", str(gt), "--det", str(det), "--registry", reg, "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {gt}: no ground-truth records\n"
+        assert not out.exists()
+
     def test_unregistered_category_message_without_quotes(self, fixture_dir, capsys):
         tmp_path, reg, gt, _, dets = fixture_dir
         det = write_jsonl(tmp_path / "d.jsonl", [{**dets[0], "category": "y"}])
@@ -679,6 +706,24 @@ class TestErrorContract:
         assert run(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: invalid JSON: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["align", "gradlab", "sample", "eval"])
+    def test_undecodable_bytes_name_their_file(self, fixture_dir, capsys, command):
+        tmp_path, reg, gt, det, _ = fixture_dir
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"steps": 5,\n "x": "\xff"}')
+        out = tmp_path / "o"
+        argv = {
+            "align": ["align", "--config", str(bad)],
+            "gradlab": ["gradlab", "--config", str(bad)],
+            "sample": ["sample", "--recipe", str(bad)],
+            "eval": ["eval", "--gt", gt, "--det", det, "--registry", str(bad)],
+        }[command]
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: invalid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                       "in position 20: invalid start byte"]
         assert not out.exists()
 
     def test_type_error_in_a_run_propagates(self, tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from babelkit.deteval import (
     EvalReport,
     GroundTruthEntry,
     ModalityRegistry,
+    Records,
     _ap_from_flags,
     average_precision,
     evaluate,
@@ -325,7 +326,8 @@ class TestEnvelope:
 def one_category_map(dets, gts, thresholds=DEFAULT_THRESHOLDS):
     """Per-threshold AP and mean over the grid for category "c", as
     ``evaluate`` reports them under a one-category registry."""
-    report = evaluate(dets, gts, ModalityRegistry({"m": ("c",)}), thresholds)
+    registry = ModalityRegistry({"m": ("c",)})
+    report = evaluate(Records.of(dets), Records.of(gts), registry, thresholds)
     d = report.per_category_ap["c"]
     return d["per_threshold"], d["mean"]
 
@@ -469,7 +471,7 @@ class TestEvaluate:
 
     def test_perfect_detector(self):
         dets, gts, reg = self._perfect()
-        rep = evaluate(dets, gts, reg)
+        rep = evaluate(Records.of(dets), Records.of(gts), reg)
         assert rep.global_map == 1.0
         assert rep.hmap == 1.0
         assert rep.summary_line() == "mAP=100.00 H-mAP=100.00"
@@ -477,7 +479,7 @@ class TestEvaluate:
     def test_weakest_link(self):
         dets, gts, reg = self._perfect()
         dets = [d for d in dets if reg.modality_of(d.category) != "ir"]
-        rep = evaluate(dets, gts, reg)
+        rep = evaluate(Records.of(dets), Records.of(gts), reg)
         assert rep.global_map > 0
         assert rep.hmap == 0.0
 
@@ -489,7 +491,7 @@ class TestEvaluate:
             d, g = random_instance(rng, 10, 6, category=cat)
             dets += d
             gts += g
-        rep = evaluate(dets, gts, reg)
+        rep = evaluate(Records.of(dets), Records.of(gts), reg)
         means = {c: v["mean"] for c, v in rep.per_category_ap.items()}
         assert rep.global_map == pytest.approx(np.mean(list(means.values())), abs=1e-9)
         if all(v > 0 for v in rep.per_modality_map.values()):
@@ -512,7 +514,7 @@ class TestEvaluate:
                 d, g = random_instance(rng, int(rng.integers(0, 8)), int(rng.integers(0, 5)), cat)
                 dets += d
                 gts += g
-            rep = evaluate(dets, gts, reg)
+            rep = evaluate(Records.of(dets), Records.of(gts), reg)
             for cat in reg.categories:
                 dc = [d for d in dets if d.category == cat]
                 gc = [g for g in gts if g.category == cat]
@@ -553,7 +555,7 @@ class TestEvaluate:
     def test_many_images_with_ties_match_oracle(self):
         dets, gts, reg = self._tied_instance(np.random.default_rng(11))
         assert len(set(gts)) < len(gts)
-        rep = evaluate(dets, gts, reg)
+        rep = evaluate(Records.of(dets), Records.of(gts), reg)
         for cat in reg.categories:
             dc = [d for d in dets if d.category == cat]
             gc = [g for g in gts if g.category == cat]
@@ -574,12 +576,13 @@ class TestEvaluate:
                 dets = [Detection(image, "c", box, 0.5) for image in images]
                 assert oracle_ap(dets, gts, 0.5) == expect
                 assert average_precision(dets, gts, 0.5) == expect
-                per = evaluate(dets, gts, reg).per_category_ap["c"]["per_threshold"]
+                rep = evaluate(Records.of(dets), Records.of(gts), reg)
+                per = rep.per_category_ap["c"]["per_threshold"]
                 assert per == {t: oracle_ap(dets, gts, t) for t in DEFAULT_THRESHOLDS}
 
     def test_ap50_outside_the_grid(self):
         dets, gts, reg = self._tied_instance(np.random.default_rng(12))
-        rep = evaluate(dets, gts, reg, thresholds=(0.6, 0.75))
+        rep = evaluate(Records.of(dets), Records.of(gts), reg, thresholds=(0.6, 0.75))
         for cat in reg.categories:
             dc = [d for d in dets if d.category == cat]
             gc = [g for g in gts if g.category == cat]
@@ -605,13 +608,14 @@ class TestEvaluate:
         # a grid without 0.5 matches once more per category, for ap50
         for grid, matches in ((DEFAULT_THRESHOLDS, len(DEFAULT_THRESHOLDS)), ((0.6, 0.75), 3)):
             calls.update(sort=0, match=0)
-            evaluate(dets, gts, reg, thresholds=grid)
+            evaluate(Records.of(dets), Records.of(gts), reg, thresholds=grid)
             assert calls == {"sort": len(scored), "match": len(scored) * matches}
 
     def test_unregistered_category_rejected(self):
         reg = self._registry()
         with pytest.raises(KeyError):
-            evaluate([Detection("i", "ufo", Box(0, 0, 1, 1), 0.5)], [], reg)
+            dets = [Detection("i", "ufo", Box(0, 0, 1, 1), 0.5)]
+            evaluate(Records.of(dets), Records.of([]), reg)
 
     def test_first_unregistered_detection_category_named(self):
         # detections carry two unregistered categories, ground truth a third:
@@ -620,10 +624,10 @@ class TestEvaluate:
         dets = [Detection("i", c, box, 0.5) for c in ("ship", "zeppelin", "balloon")]
         gts = [GroundTruthEntry("i", c, box) for c in ("ship", "airship")]
         with pytest.raises(KeyError, match="'zeppelin' is not registered"):
-            evaluate(dets, gts, self._registry())
+            evaluate(Records.of(dets), Records.of(gts), self._registry())
 
     def test_csv_rows_format(self):
         dets, gts, reg = self._perfect()
-        rows = evaluate(dets, gts, reg).csv_rows(reg)
+        rows = evaluate(Records.of(dets), Records.of(gts), reg).csv_rows(reg)
         assert rows[0] == ("category", "modality", "ap@50", "ap@[.5:.95]")
         assert len(rows) == 1 + len(reg.categories)

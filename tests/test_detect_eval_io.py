@@ -1,13 +1,19 @@
 import json
+import os
+import sys
 
+import numpy as np
 import pytest
 
+from babelkit.deteval import Box, Detection, GroundTruthEntry, Records
 from babelkit.deteval_io import (
     RecordError,
     load_detections,
     load_ground_truth,
     load_registry,
 )
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 # JSON booleans and numeric strings are not coordinates
@@ -23,18 +29,22 @@ class TestLoadDetections:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text("", encoding="utf-8")
-        assert load_detections(str(p)) == []
+        d = load_detections(str(p))
+        assert len(d) == 0 and d.image_ids == [] and d.categories == []
+        assert d.boxes.shape == (0, 4) and d.scores.shape == (0,)
 
     def test_one_record(self, tmp_path):
         rec = {"image_id": "a", "category": "ship", "bbox": [0, 0, 2, 2], "score": 0.9}
         p = write(tmp_path / "d.jsonl", [json.dumps(rec)])
-        (d,) = load_detections(p)
-        assert d.image_id == "a" and d.score == 0.9 and d.box.xmax == 2.0
+        d = load_detections(p)
+        assert len(d) == 1
+        assert d.image_ids == ["a"] and d.scores.tolist() == [0.9] and d.boxes[0, 2] == 2.0
 
     def test_blank_lines_skipped(self, tmp_path):
         rec = {"image_id": "a", "category": "c", "bbox": [0, 0, 1, 1], "score": 0.5}
         p = write(tmp_path / "d.jsonl", [json.dumps(rec), "", json.dumps(rec)])
-        assert len(load_detections(p)) == 2
+        d = load_detections(p)
+        assert len(d) == 2 and d.boxes.shape == (2, 4) and d.scores.shape == (2,)
 
     def test_invalid_box_names_line_and_field(self, tmp_path):
         bad = {"image_id": "a", "category": "c", "bbox": [5, 0, 1, 1], "score": 0.5}
@@ -107,8 +117,15 @@ class TestLoadGroundTruth:
     def test_round_trip(self, tmp_path):
         rec = {"image_id": "a", "category": "ship", "bbox": [1, 2, 3, 4]}
         p = write(tmp_path / "g.jsonl", [json.dumps(rec)])
-        (g,) = load_ground_truth(p)
-        assert (g.box.xmin, g.box.ymin, g.box.xmax, g.box.ymax) == (1, 2, 3, 4)
+        g = load_ground_truth(p)
+        assert g.image_ids == ["a"] and g.categories == ["ship"] and g.scores is None
+        assert g.boxes.tolist() == [[1, 2, 3, 4]]
+
+    def test_bare_carriage_returns_end_lines(self, tmp_path):
+        p = tmp_path / "g.jsonl"
+        rec = '{"image_id": "a", "category": "c", "bbox": [0, 0, 1, 1]}'
+        p.write_bytes(f"{rec}\r{rec}\r".encode())
+        assert len(load_ground_truth(str(p))) == 2
 
     @pytest.mark.parametrize("bbox", NON_NUMBER_BOXES)
     def test_non_number_box_rejected(self, tmp_path, bbox):
@@ -124,6 +141,85 @@ class TestLoadGroundTruth:
         ])
         with pytest.raises(RecordError, match=":1: field 'bbox'"):
             load_ground_truth(p)
+
+
+class TestDecoding:
+    """Each line is decoded on its own; an error reads as ``json.loads`` words
+    it, with columns counted in the line."""
+
+    @pytest.mark.parametrize("text", [
+        "{}{}", "{} x", "\ufeff{}", "{not json", "[]", "1", '"s"', "{}", "  {}  {",
+    ])
+    def test_message_as_json_loads_gives_it(self, tmp_path, text):
+        p = write(tmp_path / "d.jsonl", [text])
+        try:
+            obj = json.loads(text + "\n")
+        except json.JSONDecodeError as exc:
+            want = f"invalid JSON: {exc}"
+        else:
+            want = ("field 'bbox' must be [xmin, ymin, xmax, ymax]" if obj == {}
+                    else "record must be a JSON object")
+        with pytest.raises(RecordError) as exc:
+            load_detections(p)
+        assert str(exc.value) == f"{p}:1: {want}"
+
+    def test_tabs_crlf_and_nan_parse(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        rec = '{"image_id": "a", "category": "c", "bbox": [0, 0, 1, 1], "score": 0.5, "note": NaN}'
+        p.write_bytes(f"\t{rec}\r\n \t{rec}\t\r\n".encode())
+        d = load_detections(str(p))
+        assert d.image_ids == ["a", "a"] and d.boxes.tolist() == [[0, 0, 1, 1]] * 2
+
+    def test_undecodable_byte_names_line_and_position(self, tmp_path):
+        good = b'{"image_id": "a", "category": "c", "bbox": [0, 0, 1, 1], "score": 0.5}'
+        bad = b'{"image_id": "\xff", "category": "c", "bbox": [0, 0, 1, 1], "score": 0.5}'
+        p = tmp_path / "det.jsonl"
+        p.write_bytes(good + b"\n" + bad + b"\n")
+        with pytest.raises(RecordError) as exc:
+            load_detections(str(p))
+        assert str(exc.value) == (f"{p}:2: invalid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                                  "in position 14: invalid start byte")
+
+    def test_non_ascii_text_loads(self, tmp_path):
+        rec = {"image_id": "\u00e9t\u00e9", "category": "c", "bbox": [0, 0, 1, 1]}
+        p = tmp_path / "g.jsonl"
+        p.write_text(json.dumps(rec, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert load_ground_truth(str(p)).image_ids == ["\u00e9t\u00e9"]
+
+
+def _objects(path):
+    """Records built one object per line, the way the loaders once built them."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            r = json.loads(line)
+            box = Box(*map(float, r["bbox"]))
+            if "score" in r:
+                out.append(Detection(r["image_id"], r["category"], box, float(r["score"])))
+            else:
+                out.append(GroundTruthEntry(r["image_id"], r["category"], box))
+    return out
+
+
+def test_columns_equal_records_of_objects(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import evalset
+
+    gt, det = evalset.generate(0)
+    paths = [str(tmp_path / n) for n in ("gt.jsonl", "det.jsonl", "registry.json")]
+    evalset.write_inputs(gt, det, *paths)
+    sys.modules.pop("evalset")
+    for load, path in ((load_ground_truth, paths[0]), (load_detections, paths[1])):
+        got, want = load(path), Records.of(_objects(path))
+        assert len(got) > 1000
+        assert got.image_ids == want.image_ids and got.categories == want.categories
+        assert got.boxes.dtype == np.float64 and got.boxes.shape == want.boxes.shape
+        assert got.boxes.tobytes() == want.boxes.tobytes()
+        if want.scores is None:
+            assert got.scores is None
+        else:
+            assert got.scores.dtype == np.float64
+            assert got.scores.tobytes() == want.scores.tobytes()
 
 
 class TestLoadRegistry:
