@@ -29,9 +29,9 @@ class PowerIterationError(NumericalError):
 
 
 def load_config(path):
-    """A JSON input file; bytes that are not UTF-8, invalid JSON, NaN,
-    Infinity and numbers that overflow to inf are input errors (ValueError)
-    that name the file."""
+    """A JSON input file; bytes that are not UTF-8, invalid JSON (an
+    integer past int()'s digit limit included), NaN, Infinity and numbers
+    that overflow to inf are input errors (ValueError) that name the file."""
 
     def finite(text):
         v = float(text)
@@ -39,9 +39,15 @@ def load_config(path):
             raise ValueError(f"{path}: non-finite number {text}")
         return v
 
+    def integer(text):
+        try:
+            return int(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_float=finite, parse_constant=finite)
+            return json.load(fh, parse_float=finite, parse_int=integer, parse_constant=finite)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
         except UnicodeDecodeError as exc:

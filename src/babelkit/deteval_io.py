@@ -13,7 +13,9 @@ set each (id and category lists, an (n, 4) float64 box array and, for
 detections, a score array) and build no object per record. Each line is
 decoded and checked on its own, so every error names the file, the
 1-based line number and the offending field; bytes that are not UTF-8 are
-such an error too, with their position in the line.
+such an error too, with their position in the line, and so is an id or a
+category that cannot be written back as UTF-8 (a JSON escape of a lone
+surrogate, ``"\ud800"``). Registry names are held to the same rule.
 """
 
 import json
@@ -69,13 +71,14 @@ def _iter_records(path):
             text = line.strip(" \t\n\r")
             try:
                 obj, end = _DECODER.raw_decode(text)
-            except json.JSONDecodeError:
+            except ValueError:
                 end = None
             if end != len(text):
-                # json.loads words the error, with columns counted in the whole line
+                # json.loads words the error, with columns counted in the whole
+                # line; an integer past int()'s digit limit is a plain ValueError
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:
                     raise RecordError(path, line_no, f"invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise RecordError(path, line_no, "record must be a JSON object")
@@ -86,8 +89,20 @@ def _require_str(obj, key, path, line_no):
     v = obj.get(key)
     if not isinstance(v, str) or not v:
         raise RecordError(path, line_no, f"field {key!r} must be a non-empty string")
+    if not v.isascii() and (problem := _utf8_problem(v)):
+        raise RecordError(path, line_no, f"field {key!r} {problem}")
     # one object per distinct id or category, not one per row
     return intern(v)
+
+
+def _utf8_problem(name):
+    """Why ``name``, which a report will hold, cannot be written as UTF-8,
+    or None when it can."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"{name!r} cannot be written as UTF-8: {exc.reason}"
+    return None
 
 
 def _boxes(corners):
@@ -132,4 +147,7 @@ def load_registry(path):
                 f"{path}: modality {modality!r} must map to a non-empty list of "
                 f"non-empty category names, got {cats!r}"
             )
+        for kind, name in (("modality", modality), *(("category", c) for c in cats)):
+            if problem := _utf8_problem(name):
+                raise ValueError(f"{path}: {kind} {problem}")
     return ModalityRegistry(modalities)

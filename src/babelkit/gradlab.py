@@ -321,41 +321,50 @@ def _fresh_tasks(config):
     return encoder, build_detection_tasks(config, encoder, vocab, gens)
 
 
+def _finetune_loss(tp, encoder, tasks, heads, lam):
+    """The fine-tuning objective recorded on ``tp``: the encoder and the
+    heads are its parameters."""
+    params = encoder.register(tp)
+    head_tensors = {m: tp.parameter(heads[m], f"head.{m}") for m in sorted(heads)}
+    task_losses = []
+    feats = []
+    for t in tasks:
+        loss_t, feat_t = t.loss_and_feature(params, head_tensors[t.modality], tp)
+        task_losses.append(loss_t)
+        feats.append(feat_t)
+    total = task_losses[0]
+    for l in task_losses[1:]:
+        total = T.add(total, l)
+    if lam > 0:
+        centroid = feats[0]
+        for f in feats[1:]:
+            centroid = T.add(centroid, f)
+        centroid = T.mul(centroid, 1.0 / len(feats))
+        align = None
+        for f in feats:
+            diff = T.add(f, T.mul(centroid, -1.0))
+            term = T.mean(T.mul(diff, diff))
+            align = term if align is None else T.add(align, term)
+        align = T.mul(align, 1.0 / len(feats))
+        total = T.add(total, T.mul(align, float(lam)))
+    return total
+
+
 def _finetune(encoder, tasks, steps, lr, mode, lam):
     """Gradient descent on sum of task losses (+ lam * centroid alignment),
-    every primitive quantized under ``mode``."""
+    every primitive quantized under ``mode``. The first step records the
+    objective; every later step reruns that tape with new parameters."""
     heads = {t.modality: t.head.copy() for t in tasks}
     records = []
     first_nonfinite = None
+    tp = None
     for step in range(steps):
-        tp = DiffTape(mode)
-        params = encoder.register(tp)
-        head_tensors = {
-            m: tp.parameter(heads[m], f"head.{m}") for m in sorted(heads)
-        }
-        task_losses = []
-        feats = []
-        for t in tasks:
-            loss_t, feat_t = t.loss_and_feature(params, head_tensors[t.modality], tp)
-            task_losses.append(loss_t)
-            feats.append(feat_t)
-        total = task_losses[0]
-        for l in task_losses[1:]:
-            total = T.add(total, l)
-        if lam > 0:
-            centroid = feats[0]
-            for f in feats[1:]:
-                centroid = T.add(centroid, f)
-            centroid = T.mul(centroid, 1.0 / len(feats))
-            align = None
-            for f in feats:
-                diff = T.add(f, T.mul(centroid, -1.0))
-                term = T.mean(T.mul(diff, diff))
-                align = term if align is None else T.add(align, term)
-            align = T.mul(align, 1.0 / len(feats))
-            total = T.add(total, T.mul(align, float(lam)))
-
-        loss = float(total.data)
+        if tp is None:
+            tp = DiffTape(mode)
+            total = _finetune_loss(tp, encoder, tasks, heads, lam)
+        else:
+            tp.rerun({**encoder.params, **{f"head.{m}": h for m, h in heads.items()}})
+        loss = float(tp.value(total))
         if not np.isfinite(loss) or loss > DIVERGENCE_LOSS_LIMIT:
             records.append(RunRecord(step, loss, math.nan, 1.0))
             first_nonfinite = step

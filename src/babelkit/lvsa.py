@@ -5,7 +5,10 @@ alpha(t) = min(t / tau, 1)
 fused    = (1 - alpha) * F_L + alpha * mean(F_l for l in S)
 
 The fusion is built from tape primitives, so gradients route through it
-when the layers live on a DiffTape; plain arrays work too.
+when the layers live on a DiffTape; plain arrays work too. A training step
+that reruns its tape declares the weights (1 - alpha, alpha) as tape
+inputs (``fusion_weights``), so a rerun replaces them without re-entering
+``fuse``.
 """
 
 from dataclasses import dataclass
@@ -82,10 +85,19 @@ def anneal_alpha(schedule, t):
     return min(t / schedule.tau, 1.0)
 
 
-def fuse(pyramid, selected, alpha):
-    """(1 - alpha) * F_L + alpha * mean over the selected layers."""
+def fusion_weights(alpha):
+    """The fusion's weights (1 - alpha, alpha), for an alpha in [0, 1]."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    return 1.0 - alpha, alpha
+
+
+def fuse(pyramid, selected, alpha):
+    """(1 - alpha) * F_L + alpha * mean over the selected layers.
+
+    ``alpha`` is a number, or the pair ``fusion_weights`` makes of one, as
+    the tape inputs a training step declares; that step checks its alpha."""
+    w_final, w_mean = alpha if isinstance(alpha, tuple) else fusion_weights(alpha)
     selected.validate_for(pyramid.layer_count)
 
     final = pyramid.layer(pyramid.layer_count)
@@ -93,4 +105,4 @@ def fuse(pyramid, selected, alpha):
     for l in selected.indices[1:]:
         acc = add(acc, pyramid.layer(l))
     selected_mean = mul(acc, 1.0 / len(selected.indices))
-    return add(mul(final, 1.0 - alpha), mul(selected_mean, alpha))
+    return add(mul(final, w_final), mul(selected_mean, w_mean))

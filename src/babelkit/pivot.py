@@ -165,7 +165,8 @@ class SharedEncoder:
         """Visual tokens (B, token_count, embed_dim) for an image batch.
 
         ``p`` is the tensor dict from register(), or ``self.params`` for a
-        tape-free forward; ``X`` a (B, image_dim) array. The blocks and the
+        tape-free forward; ``X`` a (B, image_dim) array or tape input;
+        ``alpha`` as ``lvsa.fuse`` takes it. The blocks and the
         LVSA fusion run on the 2-D (B * token_count, embed_dim) token rows.
         """
         cfg = self.config
@@ -254,18 +255,32 @@ class LanguagePivot:
 # -- alignment loss ----------------------------------------------------------
 
 
-def batch_loss(p, encoder, pivot, batch, alpha):
-    """Mean over the samples of each sample's summed response-token
-    negative log-likelihood, as a tape scalar built in one batched graph."""
+def check_tokens(pivot, batch):
+    """ValueError unless every token of every sample is in the vocabulary."""
     for sample in batch:
         for tok in sample.instruction_tokens + sample.response_tokens:
             if not 0 <= tok < pivot.vocab.vocab_size:
                 raise ValueError(
                     f"token {tok} outside vocabulary of size {pivot.vocab.vocab_size}"
                 )
-    z = encoder.encode(p, np.stack([s.image for s in batch]), alpha)
-    logp = pivot.response_log_probs([(s.instruction_tokens, s.response_tokens) for s in batch], z)
-    return T.mul(T.mean(logp), -logp.shape[0] / len(batch))
+
+
+def token_pairs(batch):
+    return [(s.instruction_tokens, s.response_tokens) for s in batch]
+
+
+def batch_loss(p, encoder, pivot, batch, alpha):
+    """Mean over the samples of each sample's summed response-token
+    negative log-likelihood, as a tape scalar built in one batched graph."""
+    check_tokens(pivot, batch)
+    images = np.stack([s.image for s in batch])
+    return _alignment_loss(p, encoder, pivot, token_pairs(batch), images, alpha)
+
+
+def _alignment_loss(p, encoder, pivot, pairs, images, alpha):
+    z = encoder.encode(p, images, alpha)
+    logp = pivot.response_log_probs(pairs, z)
+    return T.mul(T.mean(logp), -logp.shape[0] / len(pairs))
 
 
 # -- pretraining -------------------------------------------------------------
@@ -376,8 +391,18 @@ def check_pretrain_inputs(config):
         raise ValueError("need at least 2 modalities and 2 concepts")
 
 
+# the tape inputs of a pretraining step: the image batch and LVSA's weights
+STEP_INPUTS = ("images", "lvsa.1-alpha", "lvsa.alpha")
+
+
 def pretrain_align(config, encoder=None):
     """Plain full-batch gradient descent on the alignment loss.
+
+    Record once, rerun every step: the first step records its graph with
+    ``STEP_INPUTS`` declared as tape inputs, and every later step reruns
+    that tape with its own parameters and inputs. Each step still checks
+    its tokens, its alpha and its loss; a step whose token pairs (the
+    graph's gather indices) differ from the recorded step's is a ValueError.
 
     Returns (encoder, trace) where trace is a list of (step, loss, alpha)
     tuples; raises NonFiniteLossError on numerical failure.
@@ -387,12 +412,24 @@ def pretrain_align(config, encoder=None):
     if encoder is None:
         encoder = fresh
     trace = []
+    tp = None
     for step in range(config.steps):
         alpha = encoder.alpha_at(step)
-        tp = DiffTape()
         batch = training_batch(vocab, gens, config, step)
-        total = batch_loss(encoder.register(tp), encoder, pivot, batch, alpha)
-        loss = float(total.data)
+        check_tokens(pivot, batch)
+        pairs = token_pairs(batch)
+        images = np.stack([s.image for s in batch])
+        inputs = dict(zip(STEP_INPUTS, (images, *lvsa.fusion_weights(alpha))))
+        if tp is None:
+            tp, recorded_pairs = DiffTape(), pairs
+            x, w_final, w_mean = (tp.input(value, name) for name, value in inputs.items())
+            p = encoder.register(tp)
+            total = _alignment_loss(p, encoder, pivot, pairs, x, (w_final, w_mean))
+        elif pairs != recorded_pairs:
+            raise ValueError(f"step {step}: token pairs differ from the recorded step's")
+        else:
+            tp.rerun({**encoder.params, **inputs})
+        loss = float(tp.value(total))
         if not np.isfinite(loss):
             raise NonFiniteLossError(step)
         grads = tp.backward(total)

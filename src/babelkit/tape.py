@@ -15,12 +15,25 @@ array, a tape-free Tensor) is a constant, where gradient flow stops.
 Each primitive has one VJP per input, and backward calls only those toward
 inputs that train.
 
-Tensors are immutable values; a tape is single-threaded and replayable.
-Primitive arithmetic, forward, backward and replay, runs under
-``np.errstate(all="ignore")``: overflow, inf - inf and inf * 0 are data
+A recorded tape is also a step plan: record once, rerun every step.
+``DiffTape.input`` declares a named constant that a rerun may replace, and
+``DiffTape.rerun(values)`` takes new arrays by name for the parameters and
+the declared inputs, then re-executes every op node in recording order with
+the same forwards and the same rounding. A training loop records its first
+step and reruns the tape for every later one; ``backward``,
+``first_nonfinite`` and ``value`` read the rerun outputs. ``replay`` runs
+the same executor and compares.
+
+Tensors are immutable values: a recorded Tensor keeps the value it was
+recorded with, and ``DiffTape.value`` reads a node's current one. A tape is
+single-threaded. Primitive arithmetic, forward, backward, rerun and replay,
+runs under ``np.errstate(all="ignore")``, one per call of the public op, one
+per backward and one per rerun: overflow, inf - inf and inf * 0 are data
 here, not warnings. ``DiffTape.first_nonfinite()`` names, on demand, the
-first recorded node whose output went non-finite.
+first node whose output went non-finite.
 """
+
+import math
 
 import numpy as np
 
@@ -86,26 +99,31 @@ class DiffTape:
         self._round = precision.rounding(mode)  # None: an exact tape never rounds
         self.nodes = []
         self.parameters = {}  # name -> node id of the leaf
+        self.inputs = {}  # name -> node id of a declared input (a constant)
 
     # -- leaves ------------------------------------------------------------
 
     def parameter(self, data, name):
         """Register a named leaf: a parameter that backward differentiates."""
-        if name in self.parameters:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        arr = np.array(data, dtype=np.float64)
-        arr.flags.writeable = False  # frozen here, so the Tensor need not copy it
-        node_id = len(self.nodes)
-        self.nodes.append(Node("leaf", (), {}, arr))
-        self.parameters[name] = node_id
-        return Tensor(arr, self, node_id)
+        return self._leaf("leaf", data, name, self.parameters)
+
+    def input(self, data, name):
+        """Register a named constant that ``rerun`` may replace: gradient
+        flow stops at it as at any constant."""
+        return self._leaf("const", data, name, self.inputs)
 
     def constant(self, data):
+        return self._leaf("const", data)
+
+    def _leaf(self, op, data, name=None, names=None):
+        if name is not None:
+            if name in self.parameters or name in self.inputs:
+                raise ValueError(f"duplicate leaf name {name!r}")
+            names[name] = len(self.nodes)
         arr = np.array(data, dtype=np.float64)
-        arr.flags.writeable = False
-        node_id = len(self.nodes)
-        self.nodes.append(Node("const", (), {}, arr))
-        return Tensor(arr, self, node_id)
+        arr.flags.writeable = False  # frozen here, so the Tensor need not copy it
+        self.nodes.append(Node(op, (), {}, arr))
+        return Tensor(arr, self, len(self.nodes) - 1)
 
     # -- recording ---------------------------------------------------------
 
@@ -114,8 +132,19 @@ class DiffTape:
         self.nodes.append(Node(op, tuple(t.node for t in input_tensors), attrs, out.data))
         return out
 
+    def value(self, tensor):
+        """The current output of ``tensor``'s node, read-only: after a
+        rerun, the rerun's value, where ``tensor.data`` keeps the recorded
+        one."""
+        if tensor.tape is not self or tensor.node is None:
+            raise NotOnTapeError("tensor was not recorded on this tape")
+        out = self.nodes[tensor.node].output
+        if isinstance(out, np.ndarray):
+            out.flags.writeable = False
+        return out
+
     def first_nonfinite(self):
-        """(node id, op) of the first recorded node whose output holds a
+        """(node id, op) of the first node whose current output holds a
         NaN or an infinity, or None when every output is finite."""
         for node_id, node in enumerate(self.nodes):
             if not np.isfinite(node.output).all():
@@ -181,25 +210,62 @@ class DiffTape:
                 result[name] = np.array(g, dtype=np.float64).reshape(out.shape)
         return result
 
-    # -- replay ------------------------------------------------------------
+    # -- rerun and replay --------------------------------------------------
+
+    def rerun(self, values):
+        """Re-execute the tape with new leaf values.
+
+        ``values`` maps parameter and declared-input names to arrays; a
+        leaf it does not name keeps its value. Each array must have its
+        leaf's recorded shape (ShapeError otherwise, with the tape
+        unchanged); an unknown name is a KeyError. Every op node is then
+        recomputed in recording order, and its output replaced, with the
+        forwards and the rounding of recording.
+        """
+        nodes = self.nodes
+        new = []
+        for name, data in values.items():
+            node_id = self.parameters.get(name, self.inputs.get(name))
+            if node_id is None:
+                raise KeyError(f"no parameter or input named {name!r}")
+            arr = np.array(data, dtype=np.float64)
+            recorded = nodes[node_id].output.shape
+            if arr.shape != recorded:
+                raise ShapeError(f"rerun {name!r}", recorded, arr.shape)
+            arr.flags.writeable = False
+            new.append((nodes[node_id], arr))
+        for node, arr in new:
+            node.output = arr
+        self._execute(store=True)
 
     def replay(self):
         """Re-execute all recorded primitives from the stored leaves.
         Returns True iff every node's output is reproduced bit for bit."""
+        return all(
+            out.tobytes() == node.output.tobytes()
+            for node, out in zip(self.nodes, self._execute(store=False))
+        )
+
+    def _execute(self, store):
+        """Every node's output recomputed in recording order from the stored
+        leaves and constants, under one errstate; a leaf's or a constant's
+        is its stored array. ``store`` replaces each op node's output with
+        the new one."""
+        round_ = self._round
         values = []
-        ok = True
         with np.errstate(all="ignore"):
             for node in self.nodes:
-                if node.op in ("leaf", "const"):
+                forward = _FORWARDS.get(node.op)
+                if forward is None:
                     values.append(node.output)
                     continue
-                out = _FORWARDS[node.op]([values[i] for i in node.inputs], node.attrs)
-                if self._round is not None:
-                    out = self._round(out)
+                out = forward([values[i] for i in node.inputs], node.attrs)
+                if round_ is not None:
+                    out = round_(out)
                 values.append(out)
-                if out.tobytes() != node.output.tobytes():
-                    ok = False
-        return ok
+                if store:
+                    node.output = out
+        return values
 
 
 # -- primitives --------------------------------------------------------------
@@ -272,9 +338,9 @@ def _fw_relu(inputs, attrs):
 def _fw_softmax(inputs, attrs):
     a = inputs[0]
     axis = attrs["axis"]
-    shifted = a - np.max(a, axis=axis, keepdims=True)
+    shifted = a - a.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def _fw_log(inputs, attrs):
@@ -285,15 +351,15 @@ def _fw_gather(inputs, attrs):
     a = inputs[0]
     idx = attrs["indices"]
     axis = attrs["axis"]
-    if np.any(idx < 0) or np.any(idx >= a.shape[axis]):
-        raise ShapeError("gather", a.shape, (f"indices up to {int(np.max(idx))}",))
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[axis]):
+        raise ShapeError("gather", a.shape, (f"indices up to {int(idx.max())}",))
     return np.take(a, idx, axis=axis)
 
 
 def _fw_reshape(inputs, attrs):
     a = inputs[0]
     shape = attrs["shape"]
-    if int(np.prod(shape)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError("reshape", a.shape, shape)
     return a.reshape(shape)
 
@@ -333,14 +399,18 @@ def _vjp_mean(g, out, inputs, attrs):
     (a,) = inputs
     axis = attrs["axis"]
     if axis is None:
-        return np.broadcast_to(g / a.size, a.shape)
-    if not attrs["keepdims"]:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g / a.shape[axis], a.shape)
+        share = g / a.size
+    else:
+        if not attrs["keepdims"]:
+            g = np.expand_dims(g, axis)
+        share = g / a.shape[axis]
+    grad = np.empty(a.shape)
+    grad[...] = share  # broadcast: each input element gets its share
+    return grad
 
 
 def _vjp_softmax(g, out, inputs, attrs):
-    dot = np.sum(g * out, axis=attrs["axis"], keepdims=True)
+    dot = (g * out).sum(axis=attrs["axis"], keepdims=True)
     return (g - dot) * out
 
 

@@ -726,6 +726,54 @@ class TestErrorContract:
                        "in position 20: invalid start byte"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["align", "gradlab", "sample", "eval"])
+    def test_integer_past_digit_limit_names_its_file(self, fixture_dir, capsys, command):
+        # int() refuses 5,000 digits with a plain ValueError, not a JSONDecodeError
+        tmp_path, reg, gt, det, _ = fixture_dir
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"steps": %s}' % ("7" * 5000), encoding="utf-8")
+        out = tmp_path / "o"
+        argv = {
+            "align": ["align", "--config", str(bad)],
+            "gradlab": ["gradlab", "--config", str(bad)],
+            "sample": ["sample", "--recipe", str(bad)],
+            "eval": ["eval", "--gt", gt, "--det", det, "--registry", str(bad)],
+        }[command]
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: invalid JSON: Exceeds the limit")
+        assert not out.exists()
+
+    def test_integer_past_digit_limit_names_record_line(self, fixture_dir, capsys):
+        tmp_path, reg, gt, det, _ = fixture_dir
+        lines = open(det, encoding="utf-8").read().splitlines()
+        lines[1] = lines[1][:-1] + ', "note": %s}' % ("7" * 5000)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["eval", "--gt", gt, "--det", str(bad), "--registry", reg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}:2: invalid JSON: Exceeds the limit")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["registry", "gt", "det"])
+    def test_lone_surrogate_is_refused_at_load(self, fixture_dir, capsys, where):
+        # written, report.csv would stop at the category: a truncated file
+        tmp_path, reg, gt, det, _ = fixture_dir
+        paths = {"registry": reg, "gt": gt, "det": det}
+        bad = tmp_path / f"bad-{where}"
+        text = open(paths[where], encoding="utf-8").read()
+        bad.write_text(text.replace('"ship"', '"sh\\ud800ip"'), encoding="utf-8")
+        paths[where] = str(bad)
+        out = tmp_path / "o"
+        argv = ["eval", "--gt", paths["gt"], "--det", paths["det"], "--registry", paths["registry"]]
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        named = (f"{bad}: category" if where == "registry" else f"{bad}:1: field 'category'")
+        assert err == [f"error: {named} 'sh\\ud800ip' cannot be written as UTF-8: "
+                       "surrogates not allowed"]
+        assert not out.exists()
+
     def test_type_error_in_a_run_propagates(self, tmp_path, capsys, monkeypatch):
         # a TypeError after the load is a bug, not an input error: it stays a traceback
         def broken(config):

@@ -187,6 +187,31 @@ class TestDecoding:
         assert load_ground_truth(str(p)).image_ids == ["\u00e9t\u00e9"]
 
 
+    def test_lone_surrogate_id_refused(self, tmp_path):
+        # a JSON escape of a lone surrogate decodes, but no report can write it
+        p = write(tmp_path / "g.jsonl", [
+            '{"image_id": "a", "category": "c", "bbox": [0, 0, 1, 1]}',
+            '{"image_id": "a\\udc80", "category": "c", "bbox": [0, 0, 1, 1]}',
+        ])
+        with pytest.raises(RecordError) as exc:
+            load_ground_truth(p)
+        assert str(exc.value) == (f"{p}:2: field 'image_id' 'a\\udc80' cannot be written "
+                                  "as UTF-8: surrogates not allowed")
+
+    def test_escaped_surrogate_pair_loads(self, tmp_path):
+        p = write(tmp_path / "d.jsonl", [
+            '{"image_id": "\\ud83d\\ude00", "category": "c", "bbox": [0, 0, 1, 1], "score": 1}',
+        ])
+        assert load_detections(p).image_ids == ["\U0001F600"]
+
+    def test_integer_past_digit_limit_names_line(self, tmp_path):
+        p = write(tmp_path / "d.jsonl", [
+            '{"image_id": "a", "category": "c", "bbox": [0, 0, 1, 1], "score": %s}' % ("1" * 5000),
+        ])
+        with pytest.raises(RecordError, match=r":1: invalid JSON: Exceeds the limit \(4300 digits\)"):
+            load_detections(p)
+
+
 def _objects(path):
     """Records built one object per line, the way the loaders once built them."""
     out = []
@@ -234,6 +259,17 @@ class TestLoadRegistry:
         p.write_text(json.dumps({"oops": {}}), encoding="utf-8")
         with pytest.raises(ValueError, match="modalities"):
             load_registry(str(p))
+
+    @pytest.mark.parametrize("text,named", [
+        ('{"modalities": {"s\\udfffar": ["ship"]}}', "modality 's\\udfffar'"),
+        ('{"modalities": {"sar": ["ship", "\\ud800"]}}', "category '\\ud800'"),
+    ])
+    def test_lone_surrogate_name_refused(self, tmp_path, text, named):
+        p = tmp_path / "r.json"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_registry(str(p))
+        assert str(exc.value) == f"{p}: {named} cannot be written as UTF-8: surrogates not allowed"
 
     @pytest.mark.parametrize("registry", [
         [{"modalities": {"sar": ["ship"]}}],

@@ -243,6 +243,69 @@ class TestRuns:
         ]
 
 
+def reference_finetune(encoder, tasks, steps, lr, mode, lam):
+    """``G._finetune`` with the objective recorded afresh at every step: the
+    oracle of its reruns."""
+    heads = {t.modality: t.head.copy() for t in tasks}
+    records = []
+    first_nonfinite = None
+    for step in range(steps):
+        tp = DiffTape(mode)
+        total = G._finetune_loss(tp, encoder, tasks, heads, lam)
+        loss = float(total.data)
+        if not np.isfinite(loss) or loss > G.DIVERGENCE_LOSS_LIMIT:
+            records.append(G.RunRecord(step, loss, math.nan, 1.0))
+            first_nonfinite = step
+            break
+        grads = tp.backward(total)
+        gnorm = float(np.linalg.norm(np.concatenate([g.reshape(-1) for g in grads.values()])))
+        records.append(G.RunRecord(step, loss, gnorm, 1.0))
+        if not np.isfinite(gnorm):
+            first_nonfinite = step
+            break
+        for name in encoder.PARAM_NAMES:
+            encoder.params[name] = encoder.params[name] - lr * grads[name]
+        for m in heads:
+            heads[m] = heads[m] - lr * grads[f"head.{m}"]
+    first_op = None
+    if first_nonfinite is not None:
+        verdict = "diverged"
+        found = tp.first_nonfinite()
+        if found is not None:
+            first_op = f"{found[1]}#{found[0]}"
+    elif not records or records[-1].loss <= records[0].loss:
+        verdict = "converged"
+    else:
+        verdict = "max-steps"
+    return G.RunTrace(records, verdict, first_nonfinite, first_op)
+
+
+def trace_key(trace):
+    """Everything a RunTrace holds, with floats as their repr (NaN equals NaN)."""
+    rows = [(r.step, repr(r.loss), repr(r.grad_norm), repr(r.alpha)) for r in trace.records]
+    return rows, trace.verdict, trace.first_nonfinite_step, trace.first_nonfinite_op
+
+
+class TestFinetuneRerun:
+    @pytest.mark.parametrize("precision,steps,lam", [
+        ("fp16", 80, 5000.0),  # the late route that overflows fp16 mid-run
+        ("exact", 80, 5000.0),
+        ("exact", 30, 0.0),
+        ("fp16", 30, 0.0),
+    ])
+    def test_matches_per_step_recording(self, precision, steps, lam):
+        cfg = G.RunConfig(align=antipodal_align(), steps=steps, lr=0.06, lam=lam,
+                          precision=precision, target_scale=4.0)
+        mode = G.resolve_precision(precision)
+        encoder, tasks = G._fresh_tasks(cfg)
+        got = G._finetune(copy_encoder(encoder), tasks, steps, cfg.lr, mode, lam)
+        want = reference_finetune(copy_encoder(encoder), tasks, steps, cfg.lr, mode, lam)
+        assert trace_key(got) == trace_key(want)
+        if (precision, lam) == ("fp16", 5000.0):
+            assert got.verdict == "diverged" and got.first_nonfinite_step > 0
+            assert got.first_nonfinite_op is not None
+
+
 class TestAmpStress:
     def test_table_shape_and_exact_column(self):
         base = G.RunConfig(align=antipodal_align(), steps=6, lr=1e-3, lam=2.0, pretrain_steps=2)

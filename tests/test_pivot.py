@@ -278,6 +278,95 @@ class TestPretrain:
             checks.config_elements("x", checks.MAX_ELEMENTS + 1)
 
 
+def reference_pretrain(config):
+    """pretrain_align as one fresh tape per step, recorded from scratch:
+    the oracle of the recorded tape's reruns."""
+    vocab, gens, pivot, encoder = P.build_world(config)
+    trace = []
+    for step in range(config.steps):
+        alpha = encoder.alpha_at(step)
+        tp = DiffTape()
+        batch = P.training_batch(vocab, gens, config, step)
+        total = P.batch_loss(encoder.register(tp), encoder, pivot, batch, alpha)
+        loss = float(total.data)
+        assert np.isfinite(loss)
+        grads = tp.backward(total)
+        trace.append((step, loss, alpha))
+        for name in encoder.PARAM_NAMES:
+            encoder.params[name] = encoder.params[name] - config.lr * grads[name]
+    return encoder, trace
+
+
+class TestRecordOnceRerun:
+    @pytest.mark.parametrize("noise", [0.0, 0.05])  # with noise, each step's images differ
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_per_step_recording_bit_for_bit(self, seed, noise):
+        # 250 steps at tau 200: alpha anneals, then holds at 1
+        cfg = P.AlignConfig(seed=seed, steps=250, lvsa_tau=200, noise_sigma=noise)
+        encoder, trace = P.pretrain_align(cfg)
+        ref_encoder, ref_trace = reference_pretrain(cfg)
+        assert [t[2] for t in trace][199:202] == [0.995, 1.0, 1.0]
+        assert trace == ref_trace
+        for name in encoder.PARAM_NAMES:
+            assert encoder.params[name].tobytes() == ref_encoder.params[name].tobytes()
+
+    def test_lvsa_off_matches_per_step_recording(self):
+        cfg = P.AlignConfig(steps=30, lvsa_enabled=False)
+        encoder, trace = P.pretrain_align(cfg)
+        ref_encoder, ref_trace = reference_pretrain(cfg)
+        assert trace == ref_trace
+        for name in encoder.PARAM_NAMES:
+            assert encoder.params[name].tobytes() == ref_encoder.params[name].tobytes()
+
+    def _swap_at(self, monkeypatch, step, change):
+        """training_batch whose batch at ``step`` is ``change(batch)``."""
+        real = P.training_batch
+
+        def batch_at(vocab, gens, config, t):
+            batch = real(vocab, gens, config, t)
+            return change(batch) if t == step else batch
+
+        monkeypatch.setattr(P, "training_batch", batch_at)
+
+    def test_changed_token_pairs_are_an_error(self, monkeypatch):
+        def swap(batch):
+            a, b = batch[0], batch[1]
+            a.response_tokens, b.response_tokens = b.response_tokens, a.response_tokens
+            return batch
+
+        self._swap_at(monkeypatch, 3, swap)
+        with pytest.raises(ValueError, match="step 3: token pairs differ"):
+            P.pretrain_align(P.AlignConfig(steps=6))
+
+    def test_fewer_samples_are_an_error(self, monkeypatch):
+        self._swap_at(monkeypatch, 2, lambda batch: batch[:-1])
+        with pytest.raises(ValueError, match="step 2: token pairs differ"):
+            P.pretrain_align(P.AlignConfig(steps=6))
+
+    def test_tokens_checked_every_step(self, monkeypatch):
+        def out_of_range(batch):
+            batch[1].response_tokens = (99,)
+            return batch
+
+        self._swap_at(monkeypatch, 4, out_of_range)
+        with pytest.raises(ValueError, match="token 99 outside vocabulary"):
+            P.pretrain_align(P.AlignConfig(steps=6))
+
+    def test_alpha_checked_every_step(self, monkeypatch):
+        real = P.SharedEncoder.alpha_at
+        monkeypatch.setattr(
+            P.SharedEncoder, "alpha_at", lambda self, t: 1.5 if t == 5 else real(self, t)
+        )
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\], got 1.5"):
+            P.pretrain_align(P.AlignConfig(steps=8))
+
+    def test_non_finite_loss_checked_every_step(self):
+        # the bundled align at lr 1e8: finite at step 0, then not
+        with pytest.raises(P.NonFiniteLossError) as exc:
+            P.pretrain_align(P.AlignConfig(steps=50, lr=1e8))
+        assert exc.value.step > 0
+
+
 class TestConsistency:
     def test_identical_modalities_zero(self):
         cfg, vocab, gens, pivot, encoder = small_world()

@@ -337,3 +337,102 @@ class TestNoGradientTowardConstants:
         assert set(g) == {"x"}
         assert calls == [0 if i == const_side else 1 for i in range(len(real))]
         assert finite_diff_check(program, point) < 1e-4
+
+
+class TestRerun:
+    """A recorded tape reruns with new leaf values: every output, the
+    gradients and the first non-finite node are those a fresh recording at
+    those values gives, bit for bit."""
+
+    @staticmethod
+    def _program(tp, x, scale):
+        h = T.relu(T.matmul(tp.parameter(x, "x"), np.arange(9.0).reshape(3, 3) / 7))
+        h = T.mul(h, tp.input(scale, "scale"))
+        return T.mean(T.log(T.add(T.softmax(h), 1.0)))
+
+    @pytest.mark.parametrize("mode", [precision.EXACT, FP16], ids=["exact", "fp16"])
+    def test_rerun_equals_fresh_recording(self, mode):
+        rng = np.random.default_rng(5)
+        x0, x1 = rng.standard_normal((2, 2, 3))
+        tp = DiffTape(mode)
+        out = self._program(tp, x0, [1.0, 2.0, 3.0])
+        recorded = out.data
+        tp.rerun({"x": x1, "scale": [0.5, -1.0, 4.0]})
+        fresh = DiffTape(mode)
+        want = self._program(fresh, x1, [0.5, -1.0, 4.0])
+        assert [n.output.tobytes() for n in tp.nodes] == [n.output.tobytes() for n in fresh.nodes]
+        assert tp.value(out).tobytes() == want.data.tobytes()
+        assert out.data is recorded  # the recorded Tensor keeps its value
+        got, ref = tp.backward(out), fresh.backward(want)
+        assert set(got) == {"x"} and got["x"].tobytes() == ref["x"].tobytes()
+        assert tp.replay()
+
+    def test_rerun_keeps_unnamed_leaves(self):
+        tp = DiffTape()
+        out = T.mul(tp.parameter(2.0, "a"), tp.input(3.0, "b"))
+        tp.rerun({"a": 5.0})
+        assert tp.value(out) == 15.0
+        tp.rerun({"b": -1.0})
+        assert tp.value(out) == -5.0
+
+    def test_first_nonfinite_reads_rerun_values(self):
+        tp = DiffTape(FP16)
+        big = T.mul(tp.parameter(1.0, "x"), 2.0)
+        out = T.mean(T.mul(big, big))
+        assert tp.first_nonfinite() is None
+        tp.rerun({"x": 60000.0})
+        assert tp.value(big) == math.inf
+        assert tp.first_nonfinite() == (big.node, "mul")
+        tp.rerun({"x": 1.0})
+        assert tp.first_nonfinite() is None and tp.value(out) == 4.0
+
+    @pytest.mark.parametrize("name,data", [("x", np.ones((3, 2))), ("scale", [1.0, 2.0])])
+    def test_wrong_shape_raises_and_leaves_tape_unchanged(self, name, data):
+        tp = DiffTape()
+        out = self._program(tp, np.ones((2, 3)), [1.0, 2.0, 3.0])
+        before = [n.output.tobytes() for n in tp.nodes]
+        with pytest.raises(ShapeError, match=f"rerun '{name}'"):
+            tp.rerun({"x": np.zeros((2, 3)), name: data})
+        assert [n.output.tobytes() for n in tp.nodes] == before
+        assert tp.value(out).tobytes() == out.data.tobytes()
+
+    def test_unknown_name_rejected(self):
+        tp = DiffTape()
+        T.mul(tp.parameter(1.0, "x"), 2.0)
+        with pytest.raises(KeyError, match="'y'"):
+            tp.rerun({"y": 1.0})
+
+    def test_input_is_a_constant(self):
+        tp = DiffTape()
+        x = tp.parameter([1.0, 2.0], "x")
+        c = tp.input([3.0, 4.0], "c")
+        g = tp.backward(T.mean(T.mul(x, c)))
+        assert set(g) == {"x"} and g["x"].tolist() == [1.5, 2.0]
+        with pytest.raises(ValueError, match="duplicate"):
+            tp.input(1.0, "x")
+        with pytest.raises(ValueError, match="duplicate"):
+            tp.parameter(1.0, "c")
+
+    def test_value_is_read_only_and_on_this_tape(self):
+        tp = DiffTape()
+        out = T.add(tp.parameter([1.0], "x"), 1.0)
+        tp.rerun({"x": [2.0]})
+        assert not tp.value(out).flags.writeable
+        with pytest.raises(NotOnTapeError):
+            DiffTape().value(out)
+
+    def test_rerun_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tp = DiffTape(FP16)
+            out = T.matmul(T.mul(tp.parameter([[1.0, 1.0]], "x"), 2.0), np.array([[0.0], [1.0]]))
+            tp.rerun({"x": [[60000.0, 1.0]]})  # inf * 0 inside the matmul
+            assert np.isnan(tp.value(out)[0, 0])
+
+    def test_replay_reports_tampered_node(self):
+        tp = DiffTape()
+        out = self._program(tp, np.random.default_rng(3).standard_normal((2, 3)), [1.0, 2.0, 3.0])
+        assert tp.replay()
+        node = tp.nodes[out.node - 1]
+        node.output = node.output + 1.0
+        assert not tp.replay()
