@@ -22,7 +22,19 @@ the declared inputs, then re-executes every op node in recording order with
 the same forwards and the same rounding. A training loop records its first
 step and reruns the tape for every later one; ``backward``,
 ``first_nonfinite`` and ``value`` read the rerun outputs. ``replay`` runs
-the same executor and compares.
+the same program and compares. Recording on a tape that has been rerun is
+an error: its recorded Tensors hold the values of another step.
+
+What is resolved once per tape: recording an op checks its shapes (a rerun
+keeps every leaf's shape, so every shape downstream too) and appends the
+op's kernel, its attrs bound, with its input slots to the tape's forward
+program. The first ``backward`` from an output builds its schedule: the op
+nodes that output reaches, in descending order, each with the VJPs toward
+its inputs that train and, per contribution, whether it starts a gradient
+sum or adds to one. The schedule is kept until the tape grows. What runs
+each step: the forward program's kernels and rounding (``rerun``,
+``replay``), and the schedule's VJPs, rounding and sums (``backward``),
+with each node's input list built once.
 
 Tensors are immutable values: a recorded Tensor keeps the value it was
 recorded with, and ``DiffTape.value`` reads a node's current one. A tape is
@@ -33,7 +45,9 @@ here, not warnings. ``DiffTape.first_nonfinite()`` names, on demand, the
 first node whose output went non-finite.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -100,6 +114,10 @@ class DiffTape:
         self.nodes = []
         self.parameters = {}  # name -> node id of the leaf
         self.inputs = {}  # name -> node id of a declared input (a constant)
+        self._forward = []  # per op node: (node id, kernel, input node ids)
+        self._schedules = {}  # output node id -> backward schedule
+        self._scheduled_size = 0  # len(nodes) when _schedules was last valid
+        self._reran = False
 
     # -- leaves ------------------------------------------------------------
 
@@ -127,9 +145,12 @@ class DiffTape:
 
     # -- recording ---------------------------------------------------------
 
-    def _record(self, op, input_tensors, attrs, output):
-        out = Tensor(output, self, len(self.nodes))
-        self.nodes.append(Node(op, tuple(t.node for t in input_tensors), attrs, out.data))
+    def _record(self, op, input_tensors, attrs, output, kernel):
+        node_id = len(self.nodes)
+        out = Tensor(output, self, node_id)
+        inputs = tuple(t.node for t in input_tensors)
+        self.nodes.append(Node(op, inputs, attrs, out.data))
+        self._forward.append((node_id, kernel, inputs))
         return out
 
     def value(self, tensor):
@@ -175,27 +196,19 @@ class DiffTape:
         if output.data.shape != ():
             raise ShapeError("backward", output.data.shape)
 
-        nodes, round_ = self.nodes, self._round
+        round_ = self._round
         grads = {output.node: np.ones(())}
         with np.errstate(all="ignore"):
-            for node_id in range(output.node, -1, -1):
-                g = grads.get(node_id)
-                if g is None:
-                    continue
-                node = nodes[node_id]
-                if node.op in ("leaf", "const"):
-                    continue  # a leaf's gradient stays in grads for the result
-                del grads[node_id]
-                inputs = [nodes[i].output for i in node.inputs]
-                for in_id, vjp in zip(node.inputs, _VJPS[node.op]):
-                    if nodes[in_id].op == "const":
-                        continue  # gradient flow stops at a constant
-                    contrib = vjp(g, node.output, inputs, node.attrs)
+            for node_id, node, input_nodes, contributions in self._schedule(output.node):
+                g = grads.pop(node_id)
+                out, attrs = node.output, node.attrs
+                inputs = [n.output for n in input_nodes]
+                for in_id, vjp, starts_sum in contributions:
+                    contrib = vjp(g, out, inputs, attrs)
                     if round_ is not None:
                         contrib = round_(contrib)
-                    prev = grads.get(in_id)
-                    if prev is not None:
-                        contrib = prev + contrib
+                    if not starts_sum:
+                        contrib = grads[in_id] + contrib
                         if round_ is not None:
                             contrib = round_(contrib)
                     grads[in_id] = contrib
@@ -210,6 +223,37 @@ class DiffTape:
                 result[name] = np.array(g, dtype=np.float64).reshape(out.shape)
         return result
 
+    def _schedule(self, output_id):
+        """The backward schedule from node ``output_id``, built on first use
+        and kept until the tape grows: per op node the output reaches, in
+        descending order, (node id, node, input nodes, contributions), where
+        a contribution is (input id, VJP, whether it starts that input's
+        gradient sum). Only inputs that are not constants get a VJP, and a
+        node gets a gradient iff some contribution reaches it."""
+        if self._scheduled_size != len(self.nodes):
+            self._schedules, self._scheduled_size = {}, len(self.nodes)
+        schedule = self._schedules.get(output_id)
+        if schedule is not None:
+            return schedule
+        nodes = self.nodes
+        reached = {output_id}
+        schedule = []
+        for node_id in range(output_id, -1, -1):
+            node = nodes[node_id]
+            if node_id not in reached or node.op in ("leaf", "const"):
+                continue
+            contributions = []
+            for in_id, vjp in zip(node.inputs, _VJPS[node.op]):
+                if nodes[in_id].op == "const":
+                    continue  # gradient flow stops at a constant
+                contributions.append((in_id, vjp, in_id not in reached))
+                reached.add(in_id)
+            schedule.append(
+                (node_id, node, tuple(nodes[i] for i in node.inputs), tuple(contributions))
+            )
+        self._schedules[output_id] = schedule
+        return schedule
+
     # -- rerun and replay --------------------------------------------------
 
     def rerun(self, values):
@@ -218,9 +262,10 @@ class DiffTape:
         ``values`` maps parameter and declared-input names to arrays; a
         leaf it does not name keeps its value. Each array must have its
         leaf's recorded shape (ShapeError otherwise, with the tape
-        unchanged); an unknown name is a KeyError. Every op node is then
-        recomputed in recording order, and its output replaced, with the
-        forwards and the rounding of recording.
+        unchanged); an unknown name is a KeyError. The forward program then
+        recomputes every op node in recording order, and replaces its
+        output, with the kernels and the rounding of recording. Nothing
+        can be recorded on the tape afterwards.
         """
         nodes = self.nodes
         new = []
@@ -236,35 +281,32 @@ class DiffTape:
             new.append((nodes[node_id], arr))
         for node, arr in new:
             node.output = arr
-        self._execute(store=True)
+        self._reran = True
+        self._run_forward(store=True)
 
     def replay(self):
         """Re-execute all recorded primitives from the stored leaves.
         Returns True iff every node's output is reproduced bit for bit."""
         return all(
             out.tobytes() == node.output.tobytes()
-            for node, out in zip(self.nodes, self._execute(store=False))
+            for node, out in zip(self.nodes, self._run_forward(store=False))
         )
 
-    def _execute(self, store):
-        """Every node's output recomputed in recording order from the stored
-        leaves and constants, under one errstate; a leaf's or a constant's
-        is its stored array. ``store`` replaces each op node's output with
-        the new one."""
-        round_ = self._round
-        values = []
+    def _run_forward(self, store):
+        """Every node's output, recomputed by the forward program from the
+        stored leaves and constants under one errstate; a leaf's or a
+        constant's is its stored array. ``store`` replaces each op node's
+        output with the new one as it goes."""
+        nodes, round_ = self.nodes, self._round
+        values = [node.output for node in nodes]
         with np.errstate(all="ignore"):
-            for node in self.nodes:
-                forward = _FORWARDS.get(node.op)
-                if forward is None:
-                    values.append(node.output)
-                    continue
-                out = forward([values[i] for i in node.inputs], node.attrs)
+            for node_id, kernel, inputs in self._forward:
+                out = kernel(*[values[i] for i in inputs])
                 if round_ is not None:
                     out = round_(out)
-                values.append(out)
+                values[node_id] = out
                 if store:
-                    node.output = out
+                    nodes[node_id].output = out
         return values
 
 
@@ -289,9 +331,16 @@ def _plain(x):
 def _apply(op, attrs, *xs):
     tape = _tape_of(*xs)
     if tape is not None:
+        if tape._reran:
+            raise ValueError(
+                f"{op}: cannot record on a tape after rerun: its recorded tensors hold stale values"
+            )
         xs = [tape._lift(x) for x in xs]
+    inputs = [_plain(x) for x in xs]
+    _check_shapes(op, inputs, attrs)
+    kernel = _FORWARDS[op](attrs)
     with np.errstate(all="ignore"):
-        out = _FORWARDS[op]([_plain(x) for x in xs], attrs)
+        out = kernel(*inputs)
         if tape is not None and tape._round is not None:
             out = tape._round(out)
     # a fresh array or a view of frozen inputs (a 0-d operation gives a numpy
@@ -300,87 +349,73 @@ def _apply(op, attrs, *xs):
         out.flags.writeable = False
     if tape is None:
         return Tensor(out)
-    return tape._record(op, xs, attrs, out)
+    return tape._record(op, xs, attrs, out, kernel)
 
 
-def _fw_matmul(inputs, attrs):
-    a, b = inputs
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError("matmul", a.shape, b.shape)
-    return a @ b
+def _check_shapes(op, inputs, attrs):
+    """Raise ShapeError where ``op`` cannot take ``inputs``. Checked once,
+    when the op is applied: a rerun keeps every leaf's shape, and every
+    shape downstream follows from the leaves."""
+    if op == "matmul":
+        a, b = inputs
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+            raise ShapeError(op, a.shape, b.shape)
+    elif op in ("add", "mul"):
+        a, b = inputs
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise ShapeError(op, a.shape, b.shape) from None
+    elif op == "gather":
+        a, idx, axis = inputs[0], attrs["indices"], attrs["axis"]
+        bad = idx[(idx < 0) | (idx >= a.shape[axis])]
+        if bad.size:
+            raise ShapeError(op, a.shape, f"index {int(bad[0])} on axis {axis}")
+    elif op == "reshape":
+        a, shape = inputs[0], attrs["shape"]
+        if math.prod(shape) != a.size:
+            raise ShapeError(op, a.shape, shape)
 
 
-def _fw_add(inputs, attrs):
-    a, b = inputs
-    try:
-        return a + b
-    except ValueError:
-        raise ShapeError("add", a.shape, b.shape) from None
+def _relu(a):
+    return np.maximum(a, 0.0)
 
 
-def _fw_mul(inputs, attrs):
-    a, b = inputs
-    try:
-        return a * b
-    except ValueError:
-        raise ShapeError("mul", a.shape, b.shape) from None
+def _mean(a, axis, keepdims):
+    """np.mean of a float64 array over all elements or one axis, bit for
+    bit: its sum, then one division by the count, without np.mean's Python
+    wrapper."""
+    total = np.add.reduce(a, axis=axis, keepdims=keepdims)
+    return total / (a.size if axis is None else a.shape[axis])
 
 
-def _fw_mean(inputs, attrs):
-    (a,) = inputs
-    return np.mean(a, axis=attrs["axis"], keepdims=attrs["keepdims"])
-
-
-def _fw_relu(inputs, attrs):
-    return np.maximum(inputs[0], 0.0)
-
-
-def _fw_softmax(inputs, attrs):
-    a = inputs[0]
-    axis = attrs["axis"]
+def _softmax(a, axis):
     shifted = a - a.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _fw_log(inputs, attrs):
-    return np.log(inputs[0])
-
-
-def _fw_gather(inputs, attrs):
-    a = inputs[0]
-    idx = attrs["indices"]
-    axis = attrs["axis"]
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[axis]):
-        raise ShapeError("gather", a.shape, (f"indices up to {int(idx.max())}",))
-    return np.take(a, idx, axis=axis)
-
-
-def _fw_reshape(inputs, attrs):
-    a = inputs[0]
-    shape = attrs["shape"]
-    if math.prod(shape) != a.size:
-        raise ShapeError("reshape", a.shape, shape)
-    return a.reshape(shape)
-
-
+# ``_FORWARDS[op](attrs)`` is the op's kernel with its attrs bound:
+# ``kernel(*inputs)`` computes the output of inputs ``_check_shapes`` accepts.
 _FORWARDS = {
-    "matmul": _fw_matmul,
-    "add": _fw_add,
-    "mul": _fw_mul,
-    "mean": _fw_mean,
-    "relu": _fw_relu,
-    "softmax": _fw_softmax,
-    "log": _fw_log,
-    "gather": _fw_gather,
-    "reshape": _fw_reshape,
+    "matmul": lambda attrs: np.matmul,
+    "add": lambda attrs: np.add,
+    "mul": lambda attrs: np.multiply,
+    "mean": lambda attrs: functools.partial(
+        _mean, axis=attrs["axis"], keepdims=attrs["keepdims"]
+    ),
+    "relu": lambda attrs: _relu,
+    "softmax": lambda attrs: functools.partial(_softmax, axis=attrs["axis"]),
+    "log": lambda attrs: np.log,
+    "gather": lambda attrs: operator.methodcaller("take", attrs["indices"], axis=attrs["axis"]),
+    "reshape": lambda attrs: operator.methodcaller("reshape", attrs["shape"]),
 }
 
 
 def _unbroadcast(g, shape):
-    """Sum ``g`` down to ``shape`` (reverse of numpy broadcasting); ``g``
-    itself when it already has that shape."""
-    if np.shape(g) == shape:
+    """Sum ``g``, a numpy array or scalar, down to ``shape`` (reverse of
+    numpy broadcasting); ``g`` itself when it already has that shape."""
+    if g.shape == shape:
         return g
     g = np.asarray(g)
     while g.ndim > len(shape):
@@ -402,7 +437,9 @@ def _vjp_mean(g, out, inputs, attrs):
         share = g / a.size
     else:
         if not attrs["keepdims"]:
-            g = np.expand_dims(g, axis)
+            kept = list(a.shape)
+            kept[axis] = 1
+            g = g.reshape(kept)
         share = g / a.shape[axis]
     grad = np.empty(a.shape)
     grad[...] = share  # broadcast: each input element gets its share
@@ -418,7 +455,7 @@ def _vjp_gather(g, out, inputs, attrs):
     a = inputs[0]
     idx = attrs["indices"]
     axis = attrs["axis"]
-    grad = np.zeros_like(a)
+    grad = np.zeros(a.shape)
     if axis == 0:
         np.add.at(grad, idx, g)
     else:

@@ -8,7 +8,7 @@ from babelkit import pivot as P
 from babelkit import precision
 from babelkit import tape as T
 from babelkit.checks import finite_diff_check
-from babelkit.precision import FP16
+from babelkit.precision import FP16, PrecisionMode
 from babelkit.tape import DiffTape, NotOnTapeError, ShapeError, Tensor
 
 
@@ -32,6 +32,14 @@ class TestForwardExamples:
 
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(T.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
+
+    @pytest.mark.parametrize("indices,bad", [([-2, 1], -2), ([0, 3, -1], 3), ([2, -4], -4)])
+    def test_gather_range_error_names_the_offending_index(self, indices, bad):
+        x = DiffTape().parameter([1.0, 2.0, 3.0], "x")
+        with pytest.raises(ShapeError, match=f"gather: .*index {bad} on axis 0$"):
+            T.gather(x, indices)
+        with pytest.raises(ShapeError, match=f"index {bad} on axis 1$"):
+            T.gather(Tensor(np.ones((2, 3))), indices, axis=1)
 
     def test_shape_error_names_primitive(self):
         tp = DiffTape()
@@ -436,3 +444,169 @@ class TestRerun:
         node = tp.nodes[out.node - 1]
         node.output = node.output + 1.0
         assert not tp.replay()
+
+
+class TestRecordAfterRerun:
+    """Recorded Tensors keep their recorded values, so recording on a tape
+    after a rerun would mix two steps' values: it raises, and appends
+    nothing."""
+
+    def test_recording_after_rerun_raises_before_appending(self):
+        tp = DiffTape()
+        x = tp.parameter(2.0, "x")
+        y = T.mul(x, x)
+        tp.rerun({"x": 3.0})
+        size = len(tp.nodes)
+        with pytest.raises(ValueError, match="after rerun"):
+            T.add(y, 1.0)
+        with pytest.raises(ValueError, match="after rerun"):
+            T.relu(y)
+        assert len(tp.nodes) == size
+        assert tp.value(y) == 9.0 and tp.backward(y)["x"] == 6.0
+        assert tp.replay()
+
+    def test_tape_free_ops_and_other_tapes_still_record(self):
+        tp = DiffTape()
+        y = T.mul(tp.parameter(2.0, "x"), 2.0)
+        tp.rerun({"x": 3.0})
+        assert T.add(Tensor(tp.value(y)), 1.0).item() == 7.0
+        other = DiffTape()
+        assert T.add(other.parameter(1.0, "x"), 1.0).item() == 2.0
+
+
+def reference_backward(tape, output):
+    """backward as a per-node interpreter over the whole tape: every node
+    from the output down, its VJPs looked up and its inputs tested for
+    constants on every call. The oracle of the tape's backward schedule."""
+    nodes, round_ = tape.nodes, tape._round
+    grads = {output.node: np.ones(())}
+    with np.errstate(all="ignore"):
+        for node_id in range(output.node, -1, -1):
+            g = grads.get(node_id)
+            if g is None:
+                continue
+            node = nodes[node_id]
+            if node.op in ("leaf", "const"):
+                continue
+            del grads[node_id]
+            inputs = [nodes[i].output for i in node.inputs]
+            for in_id, vjp in zip(node.inputs, T._VJPS[node.op]):
+                if nodes[in_id].op == "const":
+                    continue
+                contrib = vjp(g, node.output, inputs, node.attrs)
+                if round_ is not None:
+                    contrib = round_(contrib)
+                prev = grads.get(in_id)
+                if prev is not None:
+                    contrib = prev + contrib
+                    if round_ is not None:
+                        contrib = round_(contrib)
+                grads[in_id] = contrib
+    result = {}
+    for name, node_id in tape.parameters.items():
+        out = nodes[node_id].output
+        g = grads.get(node_id)
+        result[name] = (
+            np.zeros_like(out) if g is None else np.array(g, dtype=np.float64).reshape(out.shape)
+        )
+    return result
+
+
+def _assert_same_gradients(got, want):
+    assert set(got) == set(want)
+    for name in want:
+        assert got[name].shape == want[name].shape, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+# fp16, and a 7-bit grid that no numpy dtype implements
+MODES = [precision.EXACT, FP16, PrecisionMode(7, -126, 127)]
+MODE_IDS = ["exact", "fp16", "grid7"]
+
+
+def _every_primitive(tp, rng):
+    """A program over every primitive: broadcasting add and mul, operands
+    used twice, gathers on both axes with repeats, a constant-only subgraph,
+    and nodes and a parameter the output does not reach."""
+    w = tp.parameter(rng.standard_normal((3, 4)), "w")
+    b = tp.parameter(rng.standard_normal(4), "b")
+    s = tp.parameter(rng.standard_normal((1, 4)), "s")
+    v = tp.parameter(np.abs(rng.standard_normal((2, 4))) + 0.5, "v")
+    tp.parameter(rng.standard_normal(3), "unused")
+    x = tp.input(rng.standard_normal((2, 3)), "x")
+    h = T.mul(T.add(T.matmul(x, w), b), s)  # (2, 4) + (4,), then * (1, 4)
+    h = T.add(T.mul(h, h), T.mul(b, h))  # h used three times
+    T.relu(T.mul(w, 2.0))  # reached from no output
+    c = T.relu(T.log(tp.constant(np.full((2, 4), 3.0))))  # constant only
+    h = T.add(T.relu(h), T.add(c, T.log(v)))
+    p = T.softmax(T.reshape(h, (4, 2)), axis=0)
+    g = T.gather(T.gather(p, [1, 1, 0], axis=1), [3, 0, 3, 2])
+    m = T.mean(T.mean(g, axis=1), keepdims=True)
+    return T.mean(T.add(T.mean(T.mul(g, m), axis=0, keepdims=True), T.mean(v, axis=-1, keepdims=True)))
+
+
+class TestBackwardSchedule:
+    """backward runs a schedule built once per output; its gradients are
+    those of the per-node interpreter, bit for bit."""
+
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+    def test_every_primitive_matches_reference(self, mode):
+        tp = DiffTape(mode)
+        out = _every_primitive(tp, np.random.default_rng(11))
+        got = tp.backward(out)
+        _assert_same_gradients(got, reference_backward(tp, out))
+        assert not got["unused"].any() and got["w"].any()
+        _assert_same_gradients(tp.backward(out), got)  # from the cached schedule
+
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+    def test_two_outputs_on_one_tape(self, mode):
+        tp = DiffTape(mode)
+        x = tp.parameter(np.random.default_rng(2).standard_normal((2, 3)), "x")
+        y = tp.parameter([0.5, -1.0, 2.0], "y")
+        h = T.mul(x, y)
+        first = T.mean(T.softmax(h))
+        second = T.mean(T.mul(T.relu(h), x))
+        for out in (first, second, first):
+            _assert_same_gradients(tp.backward(out), reference_backward(tp, out))
+        assert not tp.backward(T.mean(T.log(tp.constant([1.0, 2.0])))).get("x").any()
+
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+    def test_tape_grows_after_backward(self, mode, monkeypatch):
+        tp = DiffTape(mode)
+        x = tp.parameter([[0.5, 1.5], [-2.0, 3.0]], "x")
+        h = T.relu(T.matmul(x, x))
+        first = T.mean(h)
+        _assert_same_gradients(tp.backward(first), reference_backward(tp, first))
+        # the grown tape rebuilds its schedules: a VJP table patched now is used
+        calls = []
+        real = T._VJPS["relu"][0]
+        monkeypatch.setitem(T._VJPS, "relu", (lambda *args: calls.append(1) or real(*args),))
+        z = tp.parameter(2.0, "z")
+        second = T.mean(T.mul(T.add(h, x), z))
+        for out in (second, first):
+            _assert_same_gradients(tp.backward(out), reference_backward(tp, out))
+        assert len(calls) == 4  # two backwards and their two references
+
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+    def test_backward_after_rerun_reads_rerun_values(self, mode):
+        rng = np.random.default_rng(4)
+        first, later = (np.abs(rng.standard_normal((2, 3))) + 0.25 for _ in range(2))
+        tp = DiffTape(mode)
+        out = T.mean(T.log(T.mul(tp.parameter(first, "x"), tp.input([1.0, 2.0, 3.0], "c"))))
+        recorded = tp.backward(out)
+        tp.rerun({"x": later, "c": [3.0, 0.5, 1.0]})
+        got = tp.backward(out)
+        _assert_same_gradients(got, reference_backward(tp, out))
+        fresh = DiffTape(mode)
+        want = T.mean(T.log(T.mul(fresh.parameter(later, "x"), fresh.input([3.0, 0.5, 1.0], "c"))))
+        _assert_same_gradients(got, fresh.backward(want))
+        assert got["x"].tobytes() != recorded["x"].tobytes()
+
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+    def test_align_step_matches_reference(self, mode):
+        config = P.AlignConfig()
+        vocab, gens, pivot, encoder = P.build_world(config)
+        tp = DiffTape(mode)
+        batch = P.training_batch(vocab, gens, config, 0)
+        loss = P.batch_loss(encoder.register(tp), encoder, pivot, batch, encoder.alpha_at(0))
+        _assert_same_gradients(tp.backward(loss), reference_backward(tp, loss))
