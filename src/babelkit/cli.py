@@ -4,6 +4,9 @@ Subcommands: eval, hmap, align, gradlab, sample. Exit codes: 0 success,
 2 input/config error, 3 numerical failure. Every run writes a manifest
 (JSON, atomically) recording command, config, seed, version, and outputs,
 so runs are reproducible byte-for-byte from the manifest alone.
+
+Each subcommand's load and run import the modules they use, so a run
+imports (and, without cached bytecode, compiles) only its own.
 """
 
 import argparse
@@ -20,9 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from babelkit import __version__
-from babelkit import checks, deteval, deteval_io, gradlab
-from babelkit import pivot as P
-from babelkit import sampler as S
+from babelkit import checks
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -77,6 +78,8 @@ def bundled_path(name):
 
 def load_eval(args):
     """Evaluating is the check that every category is registered."""
+    from babelkit import deteval, deteval_io
+
     registry = deteval_io.load_registry(args.registry)
     gts = deteval_io.load_ground_truth(args.gt)
     if not len(gts):
@@ -108,6 +111,8 @@ def run_eval(args, loaded):
 
 
 def load_hmap(args):
+    from babelkit import deteval
+
     return deteval.harmonic_modality_map([float(v) for v in args.values])
 
 
@@ -119,6 +124,8 @@ def run_hmap(args, h):
 
 
 def load_align(args):
+    from babelkit import pivot as P
+
     obj = checks.load_config(args.config or bundled_path("configs/align_default.json"))
     checks.config_keys("config", obj, P.AlignConfig.__dataclass_fields__)
     if args.seed is not None:
@@ -130,6 +137,8 @@ def load_align(args):
 
 
 def run_align(args, loaded):
+    from babelkit import pivot as P
+
     obj, config = loaded
     vocab, gens, pivot, encoder = P.build_world(config)
     pre = P.consistency_report(encoder, pivot, vocab, gens)
@@ -161,6 +170,8 @@ def run_align(args, loaded):
 
 
 def load_gradlab(args):
+    from babelkit import gradlab
+
     obj = checks.load_config(args.config or bundled_path("configs/gradlab_default.json"))
     lab = gradlab.LabConfig.from_dict(obj)
     os.makedirs(args.out, exist_ok=True)
@@ -168,6 +179,8 @@ def load_gradlab(args):
 
 
 def run_gradlab(args, loaded):
+    from babelkit import gradlab
+
     obj, lab = loaded
     sweep = gradlab.conditioning_sweep(lab.hessian, lab.lambdas)
     stress = gradlab.amp_stress(lab.base, lab.precisions)
@@ -250,6 +263,8 @@ def _epoch_lines(names, dataset, index, chunk=4096):
 
 
 def load_sample(args):
+    from babelkit import sampler as S
+
     recipe_path = args.recipe or bundled_path("recipes/babelrs_table1.json")
     recipe = S.MixtureRecipe.load(recipe_path)
     seed = args.seed if args.seed is not None else recipe.seed
@@ -261,6 +276,8 @@ def load_sample(args):
 
 
 def run_sample(args, loaded):
+    from babelkit import sampler as S
+
     recipe_path, recipe, seed = loaded
     dataset, index = S.draw_epoch(recipe, seed)
     _write_csv(

@@ -91,23 +91,6 @@ def flatten_named(grads, names):
     return np.concatenate([np.asarray(grads[n], dtype=np.float64).reshape(-1) for n in names])
 
 
-class LinearTask:
-    """Task whose detection gradient over the shared parameters is a chosen
-    constant vector (loss is linear in theta); used to construct axis-aligned
-    and antipodal gradient regimes exactly."""
-
-    def __init__(self, modality, directions):
-        self.modality = modality
-        self.directions = {k: np.asarray(v, dtype=np.float64) for k, v in directions.items()}
-
-    def loss(self, params, tp):
-        total = None
-        for name, d in self.directions.items():
-            term = T.mul(T.mean(T.mul(params[name], d)), float(d.size))
-            total = term if total is None else T.add(total, term)
-        return total
-
-
 class DetectionTask:
     """Per-modality toy detection: linear head on the mean visual token,
     squared-error loss against concept-dependent box targets.

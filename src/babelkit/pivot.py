@@ -398,11 +398,15 @@ STEP_INPUTS = ("images", "lvsa.1-alpha", "lvsa.alpha")
 def pretrain_align(config, encoder=None):
     """Plain full-batch gradient descent on the alignment loss.
 
-    Record once, rerun every step: the first step records its graph with
-    ``STEP_INPUTS`` declared as tape inputs, and every later step reruns
-    that tape with its own parameters and inputs. Each step still checks
-    its tokens, its alpha and its loss; a step whose token pairs (the
-    graph's gather indices) differ from the recorded step's is a ValueError.
+    Record once, rerun every step: the first step builds its batch, checks
+    its tokens and records its graph with ``STEP_INPUTS`` declared as tape
+    inputs. The tokens come from the vocabulary, not from the step, so the
+    token pairs (the graph's gather indices) are fixed for the run. Every
+    later step reruns that tape with the encoder's parameters and its own
+    LVSA weights, and with its own image batch only when ``noise_sigma > 0``:
+    without noise every step's images are the recorded ones. Each step
+    still checks its alpha and its loss; a noisy step whose image batch has
+    another shape is a ShapeError.
 
     Returns (encoder, trace) where trace is a list of (step, loss, alpha)
     tuples; raises NonFiniteLossError on numerical failure.
@@ -415,18 +419,16 @@ def pretrain_align(config, encoder=None):
     tp = None
     for step in range(config.steps):
         alpha = encoder.alpha_at(step)
-        batch = training_batch(vocab, gens, config, step)
-        check_tokens(pivot, batch)
-        pairs = token_pairs(batch)
-        images = np.stack([s.image for s in batch])
-        inputs = dict(zip(STEP_INPUTS, (images, *lvsa.fusion_weights(alpha))))
+        inputs = dict(zip(STEP_INPUTS[1:], lvsa.fusion_weights(alpha)))
+        if tp is None or config.noise_sigma > 0:
+            batch = training_batch(vocab, gens, config, step)
+            inputs["images"] = np.stack([s.image for s in batch])
         if tp is None:
-            tp, recorded_pairs = DiffTape(), pairs
-            x, w_final, w_mean = (tp.input(value, name) for name, value in inputs.items())
+            check_tokens(pivot, batch)
+            tp = DiffTape()
+            x, w_final, w_mean = (tp.input(inputs[name], name) for name in STEP_INPUTS)
             p = encoder.register(tp)
-            total = _alignment_loss(p, encoder, pivot, pairs, x, (w_final, w_mean))
-        elif pairs != recorded_pairs:
-            raise ValueError(f"step {step}: token pairs differ from the recorded step's")
+            total = _alignment_loss(p, encoder, pivot, token_pairs(batch), x, (w_final, w_mean))
         else:
             tp.rerun({**encoder.params, **inputs})
         loss = float(tp.value(total))

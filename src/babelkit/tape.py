@@ -68,17 +68,28 @@ class NotOnTapeError(ValueError):
     pass
 
 
+def _frozen(arr):
+    """True iff ``arr`` and every array in its ``base`` chain are read-only
+    ndarrays: no one can write the memory it reads."""
+    while arr is not None:
+        if not isinstance(arr, np.ndarray) or arr.flags.writeable:
+            return False
+        arr = arr.base
+    return True
+
+
 class Tensor:
     """Immutable dense array, optionally attached to a tape node. A caller's
-    array that is still writeable is copied, never frozen in place."""
+    array is adopted only when it and every array it views are read-only;
+    otherwise it is copied, never frozen in place."""
 
     __slots__ = ("data", "tape", "node")
 
     def __init__(self, data, tape=None, node=None):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.flags.writeable:
-            if isinstance(data, np.ndarray):
-                arr = arr.copy()
+        if not _frozen(arr):
+            if arr is data or arr.base is not None:
+                arr = arr.copy()  # the caller's memory, or a view of someone's
             arr.flags.writeable = False
         self.data = arr
         self.tape = tape
@@ -321,8 +332,9 @@ def _tape_of(*xs):
 
 
 def _plain(x):
-    """``x``'s read-only data; a caller's writeable array is copied, so no
-    primitive output is a view of memory the caller can still write."""
+    """``x``'s read-only data; a caller's array that is, or views, writeable
+    memory is copied, so no primitive output is a view of memory the caller
+    can still write."""
     if isinstance(x, Tensor):
         return x.data
     return Tensor(x).data

@@ -12,7 +12,7 @@ import pytest
 from babelkit import gradlab as G
 from babelkit import pivot as P
 from babelkit import tape as T
-from babelkit.checks import finite_diff_check, power_iteration_extremes
+from babelkit.checks import power_iteration_extremes
 from babelkit.cli import bundled_path
 from babelkit.deteval import (
     average_precision,
@@ -22,6 +22,7 @@ from babelkit.deteval import (
 from babelkit.lvsa import AnnealSchedule, FeaturePyramid, SelectedSet, anneal_alpha, fuse
 from babelkit.sampler import MixtureRecipe, draw_epoch, expected_counts, verify_rates
 from babelkit.tape import DiffTape
+from tests.gradcheck import finite_diff_check
 from tests.test_detect_eval import (
     FT_BENCH_ROWS,
     PT_BENCH_ROWS,

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
-from babelkit import checks, cli
+from babelkit import checks, cli, gradlab
+from babelkit import pivot as P
+from babelkit import sampler as S
 from babelkit.deteval import EvalReport, harmonic_modality_map
 
 
@@ -202,8 +204,6 @@ class TestAlign:
         assert trace == ["step,loss,alpha"]
         import numpy as np
 
-        from babelkit import pivot as P
-
         ckpt = np.load(out / "checkpoint.npz")
         _, _, _, fresh = P.build_world(P.AlignConfig(steps=0))
         for name in fresh.PARAM_NAMES:
@@ -308,7 +308,7 @@ class TestAlign:
         def refuse(config):
             raise AssertionError("built a world for an oversized config")
 
-        monkeypatch.setattr(cli.P, "build_world", refuse)
+        monkeypatch.setattr(P, "build_world", refuse)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"steps": 3, field: 10**8}), encoding="utf-8")
         out = tmp_path / "o"
@@ -430,7 +430,7 @@ class TestGradlabConfigErrors:
         def refuse(*args):
             raise AssertionError("ran the sweep for an oversized config")
 
-        monkeypatch.setattr(cli.gradlab, "conditioning_sweep", refuse)
+        monkeypatch.setattr(gradlab, "conditioning_sweep", refuse)
         path = write_gradlab_config(tmp_path / "c.json", {f"{block}.token_count": 10**8})
         out = tmp_path / "o"
         assert run(["gradlab", "--config", path, "--out", str(out)]) == 2
@@ -564,7 +564,7 @@ class TestUnusableOut:
         def refuse(*args, **kwargs):
             raise AssertionError("drew an epoch for an unusable --out")
 
-        monkeypatch.setattr(cli.S, "draw_epoch", refuse)
+        monkeypatch.setattr(S, "draw_epoch", refuse)
         out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
         assert run(["sample", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -654,7 +654,7 @@ class TestSample:
         def refuse(*args, **kwargs):
             raise AssertionError("drew an epoch for a size beyond int64")
 
-        monkeypatch.setattr(cli.S, "draw_epoch", refuse)
+        monkeypatch.setattr(S, "draw_epoch", refuse)
         entry = {"name": "a", "size": 10**400, "sample_rate": 0.5, "tasks": ["VQA"]}
         recipe = tmp_path / "r.json"
         recipe.write_text(json.dumps({"seed": 0, "entries": [entry]}), encoding="utf-8")
@@ -669,7 +669,7 @@ class TestSample:
         def refuse(*args, **kwargs):
             raise AssertionError("drew an epoch for an oversized entry")
 
-        monkeypatch.setattr(cli.S, "draw_epoch", refuse)
+        monkeypatch.setattr(S, "draw_epoch", refuse)
         entry = {"name": "a", "size": 10**15, "sample_rate": 0.5, "tasks": ["VQA"]}
         recipe = tmp_path / "r.json"
         recipe.write_text(json.dumps({"seed": 0, "entries": [entry]}), encoding="utf-8")
@@ -779,7 +779,7 @@ class TestErrorContract:
         def broken(config):
             raise TypeError("bug in the run")
 
-        monkeypatch.setattr(cli.P, "build_world", broken)
+        monkeypatch.setattr(P, "build_world", broken)
         with pytest.raises(TypeError, match="bug in the run"):
             run(["align", "--out", str(tmp_path / "o")])
         assert capsys.readouterr().err == ""

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from babelkit import tape as T
-from babelkit.checks import finite_diff_check
 from babelkit.lvsa import (
     DEFAULT_TAU,
     VIT_LARGE_LAYER_COUNT,
@@ -13,6 +12,7 @@ from babelkit.lvsa import (
     fuse,
 )
 from babelkit.tape import DiffTape
+from tests.gradcheck import finite_diff_check
 
 
 def fuse_at_step(pyramid, selected, schedule, t):

@@ -6,9 +6,9 @@ import pytest
 
 from babelkit import checks
 from babelkit import pivot as P
-from babelkit.checks import finite_diff_check
 from babelkit.cli import bundled_path
-from babelkit.tape import DiffTape
+from babelkit.tape import DiffTape, ShapeError
+from tests.gradcheck import finite_diff_check
 
 
 def small_world(seed=0, concepts=("ship", "bridge"), **overrides):
@@ -318,39 +318,52 @@ class TestRecordOnceRerun:
         for name in encoder.PARAM_NAMES:
             assert encoder.params[name].tobytes() == ref_encoder.params[name].tobytes()
 
-    def _swap_at(self, monkeypatch, step, change):
-        """training_batch whose batch at ``step`` is ``change(batch)``."""
-        real = P.training_batch
+    def _swap_at(self, monkeypatch, step=None, change=None):
+        """training_batch whose batch at ``step`` is ``change(batch)``;
+        returns the list of the steps it is called for."""
+        real, calls = P.training_batch, []
 
         def batch_at(vocab, gens, config, t):
+            calls.append(t)
             batch = real(vocab, gens, config, t)
             return change(batch) if t == step else batch
 
         monkeypatch.setattr(P, "training_batch", batch_at)
+        return calls
 
-    def test_changed_token_pairs_are_an_error(self, monkeypatch):
-        def swap(batch):
-            a, b = batch[0], batch[1]
-            a.response_tokens, b.response_tokens = b.response_tokens, a.response_tokens
-            return batch
-
-        self._swap_at(monkeypatch, 3, swap)
-        with pytest.raises(ValueError, match="step 3: token pairs differ"):
-            P.pretrain_align(P.AlignConfig(steps=6))
-
-    def test_fewer_samples_are_an_error(self, monkeypatch):
-        self._swap_at(monkeypatch, 2, lambda batch: batch[:-1])
-        with pytest.raises(ValueError, match="step 2: token pairs differ"):
-            P.pretrain_align(P.AlignConfig(steps=6))
-
-    def test_tokens_checked_every_step(self, monkeypatch):
+    def test_token_outside_vocabulary_is_an_error_before_any_step(self, monkeypatch):
         def out_of_range(batch):
             batch[1].response_tokens = (99,)
             return batch
 
-        self._swap_at(monkeypatch, 4, out_of_range)
+        def refuse(*args):
+            raise AssertionError("recorded a step from a batch with a bad token")
+
+        self._swap_at(monkeypatch, 0, out_of_range)
+        monkeypatch.setattr(P, "DiffTape", refuse)
         with pytest.raises(ValueError, match="token 99 outside vocabulary"):
             P.pretrain_align(P.AlignConfig(steps=6))
+
+    @pytest.mark.parametrize("noise, built", [(0.0, [0]), (0.05, [0, 1, 2, 3, 4, 5])])
+    def test_batch_built_once_without_noise(self, monkeypatch, noise, built):
+        calls = self._swap_at(monkeypatch)
+        P.pretrain_align(P.AlignConfig(steps=6, noise_sigma=noise))
+        assert calls == built
+
+    def test_noisy_batch_of_another_shape_is_an_error(self, monkeypatch):
+        self._swap_at(monkeypatch, 3, lambda batch: batch[:-1])
+        with pytest.raises(ShapeError, match="rerun 'images'"):
+            P.pretrain_align(P.AlignConfig(steps=6, noise_sigma=0.05))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", [619570852, 1867925153, 2**62 + 3])
+    def test_large_seeds_match_per_step_recording(self, seed, noise):
+        cfg = P.AlignConfig(seed=seed, steps=40, noise_sigma=noise)
+        encoder, trace = P.pretrain_align(cfg)
+        ref_encoder, ref_trace = reference_pretrain(cfg)
+        assert trace == ref_trace
+        for name in encoder.PARAM_NAMES:
+            assert encoder.params[name].tobytes() == ref_encoder.params[name].tobytes()
 
     def test_alpha_checked_every_step(self, monkeypatch):
         real = P.SharedEncoder.alpha_at

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from babelkit import tape as T
-from babelkit.checks import (
-    NonFiniteEvaluationError,
-    PowerIterationError,
-    finite_diff_check,
-    power_iteration_extremes,
-)
+from babelkit.checks import PowerIterationError, power_iteration_extremes
+from tests.gradcheck import NonFiniteEvaluationError, finite_diff_check
 
 
 class TestFiniteDiffCheck:

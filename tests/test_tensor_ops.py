@@ -7,9 +7,9 @@ import pytest
 from babelkit import pivot as P
 from babelkit import precision
 from babelkit import tape as T
-from babelkit.checks import finite_diff_check
 from babelkit.precision import FP16, PrecisionMode
 from babelkit.tape import DiffTape, NotOnTapeError, ShapeError, Tensor
+from tests.gradcheck import finite_diff_check
 
 
 def record_forward(tape, program, *inputs):
@@ -250,6 +250,25 @@ class TestReplayAndPrecision:
         assert p.data is tp.nodes[p.node].output
         assert out.data is tp.nodes[out.node].output
         assert not out.data.flags.writeable
+
+    def test_read_only_view_of_writeable_memory_is_copied(self):
+        a = np.array([1.0, 2.0, 3.0])
+        v = a[:]
+        v.flags.writeable = False
+        t = Tensor(v)
+        r = T.reshape(v, (3, 1))
+        a[0] = 99.0
+        np.testing.assert_array_equal(t.data, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(r.data, [[1.0], [2.0], [3.0]])
+        assert not t.data.flags.writeable
+
+    def test_frozen_array_and_its_frozen_views_adopted(self):
+        a = np.array([1.0, 2.0, 3.0])
+        a.flags.writeable = False
+        assert Tensor(a).data is a
+        r = T.reshape(a, (3, 1))  # a view of a frozen input stays a view
+        assert r.data.base is a
+        assert Tensor(r.data).data is r.data
 
 
 def _align_step(mode):
