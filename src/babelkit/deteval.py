@@ -28,11 +28,22 @@ DEFAULT_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
 
 def check_box(xmin, ymin, xmax, ymax):
-    """ValueError unless the corners are ordered (xmin <= xmax, ymin <= ymax)."""
+    """ValueError unless the corners are ordered (xmin <= xmax, ymin <= ymax)
+    and the width, the height and twice the area are finite: the sum of two
+    areas in ``iou`` cannot overflow then."""
     if xmax < xmin:
         raise ValueError(f"xmax {xmax} < xmin {xmin}")
     if ymax < ymin:
         raise ValueError(f"ymax {ymax} < ymin {ymin}")
+    width, height = xmax - xmin, ymax - ymin
+    # ordered corners make width and height >= 0 or NaN, so this one test
+    # refuses a non-finite width or height (inf * 0 is NaN) and twice an area
+    # that overflows
+    if not 2.0 * (width * height) < math.inf:
+        raise ValueError(
+            f"width {width} and height {height}: width, height and twice the area "
+            "must be finite"
+        )
 
 
 def check_score(score):
@@ -160,7 +171,7 @@ def iou_rows(a, b):
     """IoU of the boxes ``a`` (..., 4) and ``b`` (..., 4), rows [xmin, ymin,
     xmax, ymax], pair by pair under broadcasting (``iou_rows(a[:, None],
     b[None])`` is the table of every pair). Same float operations in the same
-    order as ``iou``, so equal bit for bit."""
+    order as ``iou``, so equal bit for bit on boxes ``check_box`` accepts."""
     ix = _min(a[..., 2], b[..., 2]) - _max(a[..., 0], b[..., 0])
     iy = _min(a[..., 3], b[..., 3]) - _max(a[..., 1], b[..., 1])
     inter = _max(ix, 0.0) * _max(iy, 0.0)

@@ -18,7 +18,8 @@ import numpy as np
 from babelkit import pivot as P
 from babelkit import tape as T
 from babelkit.checks import (
-    NumericalError, config_field, config_int, config_keys, config_list, config_number,
+    NumericalError, config_elements, config_field, config_int, config_keys, config_list,
+    config_number,
 )
 from babelkit.checks import power_iteration_extremes
 from babelkit.precision import EXACT, FP16
@@ -181,6 +182,7 @@ class HessianSpec:
     @classmethod
     def build(cls, dim, det_eigs, align_eigs, angle, plane=(0, 1)):
         config_int("hessian dim", dim, 1)
+        config_elements("hessian dim", dim * dim)
         for name, value in (("det_eigs", det_eigs), ("align_eigs", align_eigs), ("plane", plane)):
             config_list(f"hessian {name}", value)
         for eig in (*det_eigs, *align_eigs):
@@ -492,6 +494,10 @@ class LabConfig:
         config_list("lambdas", lambdas)
         for lam in lambdas:
             config_number("lambda", lam, 0)
+            with np.errstate(over="ignore"):
+                summed = hessian.h_det + lam * hessian.h_align
+            if not np.isfinite(summed).all():
+                raise ValueError(f"lambda {lam!r}: H_det + lambda * H_align overflows float64")
         stability = config_field("gradlab config", obj, "stability")
         config_keys("stability", stability, ("base", "precisions"))
         base = RunConfig.from_dict(config_field("stability", stability, "base"))

@@ -31,10 +31,11 @@ op's kernel, its attrs bound, with its input slots to the tape's forward
 program. The first ``backward`` from an output builds its schedule: the op
 nodes that output reaches, in descending order, each with the VJPs toward
 its inputs that train and, per contribution, whether it starts a gradient
-sum or adds to one. The schedule is kept until the tape grows. What runs
-each step: the forward program's kernels and rounding (``rerun``,
-``replay``), and the schedule's VJPs, rounding and sums (``backward``),
-with each node's input list built once.
+sum or adds to one. The schedule is kept: the tape is append-only, so the
+nodes an output reaches never change. What runs each step: the forward
+program's kernels and rounding (``rerun``, ``replay``), and the schedule's
+VJPs, rounding and sums (``backward``), with each node's input list built
+once.
 
 Tensors are immutable values: a recorded Tensor keeps the value it was
 recorded with, and ``DiffTape.value`` reads a node's current one. A tape is
@@ -68,32 +69,31 @@ class NotOnTapeError(ValueError):
     pass
 
 
-def _frozen(arr):
-    """True iff ``arr`` and every array in its ``base`` chain are read-only
-    ndarrays: no one can write the memory it reads."""
-    while arr is not None:
-        if not isinstance(arr, np.ndarray) or arr.flags.writeable:
-            return False
-        arr = arr.base
-    return True
-
-
 class Tensor:
-    """Immutable dense array, optionally attached to a tape node. A caller's
-    array is adopted only when it and every array it views are read-only;
-    otherwise it is copied, never frozen in place."""
+    """Immutable dense array, optionally attached to a tape node.
+    ``Tensor(data)`` copies the caller's data, even a read-only array, whose
+    owner could make it writeable again, and freezes the copy."""
 
     __slots__ = ("data", "tape", "node")
 
-    def __init__(self, data, tape=None, node=None):
-        arr = np.asarray(data, dtype=np.float64)
-        if not _frozen(arr):
-            if arr is data or arr.base is not None:
-                arr = arr.copy()  # the caller's memory, or a view of someone's
-            arr.flags.writeable = False
+    def __init__(self, data):
+        arr = np.array(data, dtype=np.float64)
+        arr.flags.writeable = False
         self.data = arr
-        self.tape = tape
-        self.node = node
+        self.tape = None
+        self.node = None
+
+    @classmethod
+    def _adopt(cls, out, tape=None, node=None):
+        """A Tensor over the tape's own fresh result ``out`` (a numpy scalar
+        becomes a 0-d array), frozen in place: no caller holds it, so it is
+        not copied."""
+        t = cls.__new__(cls)
+        t.data = np.asarray(out, dtype=np.float64)
+        t.data.flags.writeable = False
+        t.tape = tape
+        t.node = node
+        return t
 
     @property
     def shape(self):
@@ -127,7 +127,6 @@ class DiffTape:
         self.inputs = {}  # name -> node id of a declared input (a constant)
         self._forward = []  # per op node: (node id, kernel, input node ids)
         self._schedules = {}  # output node id -> backward schedule
-        self._scheduled_size = 0  # len(nodes) when _schedules was last valid
         self._reran = False
 
     # -- leaves ------------------------------------------------------------
@@ -149,16 +148,15 @@ class DiffTape:
             if name in self.parameters or name in self.inputs:
                 raise ValueError(f"duplicate leaf name {name!r}")
             names[name] = len(self.nodes)
-        arr = np.array(data, dtype=np.float64)
-        arr.flags.writeable = False  # frozen here, so the Tensor need not copy it
+        arr = np.array(data, dtype=np.float64)  # a copy of the caller's data
         self.nodes.append(Node(op, (), {}, arr))
-        return Tensor(arr, self, len(self.nodes) - 1)
+        return Tensor._adopt(arr, self, len(self.nodes) - 1)
 
     # -- recording ---------------------------------------------------------
 
     def _record(self, op, input_tensors, attrs, output, kernel):
         node_id = len(self.nodes)
-        out = Tensor(output, self, node_id)
+        out = Tensor._adopt(output, self, node_id)
         inputs = tuple(t.node for t in input_tensors)
         self.nodes.append(Node(op, inputs, attrs, out.data))
         self._forward.append((node_id, kernel, inputs))
@@ -236,13 +234,12 @@ class DiffTape:
 
     def _schedule(self, output_id):
         """The backward schedule from node ``output_id``, built on first use
-        and kept until the tape grows: per op node the output reaches, in
-        descending order, (node id, node, input nodes, contributions), where
-        a contribution is (input id, VJP, whether it starts that input's
-        gradient sum). Only inputs that are not constants get a VJP, and a
-        node gets a gradient iff some contribution reaches it."""
-        if self._scheduled_size != len(self.nodes):
-            self._schedules, self._scheduled_size = {}, len(self.nodes)
+        and kept (the tape is append-only, so the nodes an output reaches
+        never change): per op node the output reaches, in descending order,
+        (node id, node, input nodes, contributions), where a contribution is
+        (input id, VJP, whether it starts that input's gradient sum). Only
+        inputs that are not constants get a VJP, and a node gets a gradient
+        iff some contribution reaches it."""
         schedule = self._schedules.get(output_id)
         if schedule is not None:
             return schedule
@@ -332,9 +329,8 @@ def _tape_of(*xs):
 
 
 def _plain(x):
-    """``x``'s read-only data; a caller's array that is, or views, writeable
-    memory is copied, so no primitive output is a view of memory the caller
-    can still write."""
+    """``x``'s read-only data; a caller's array is copied, so no primitive
+    output is a view of memory the caller can write."""
     if isinstance(x, Tensor):
         return x.data
     return Tensor(x).data
@@ -355,12 +351,9 @@ def _apply(op, attrs, *xs):
         out = kernel(*inputs)
         if tape is not None and tape._round is not None:
             out = tape._round(out)
-    # a fresh array or a view of frozen inputs (a 0-d operation gives a numpy
-    # scalar instead): frozen here, the Tensor need not copy it
-    if isinstance(out, np.ndarray):
-        out.flags.writeable = False
+    # a fresh array or a view of frozen inputs: the Tensor adopts it
     if tape is None:
-        return Tensor(out)
+        return Tensor._adopt(out)
     return tape._record(op, xs, attrs, out, kernel)
 
 

@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -324,9 +326,9 @@ class TestAlign:
         assert "step" in capsys.readouterr().err
 
 
-def write_gradlab_config(path, updates):
+def gradlab_config_text(updates):
     """The bundled gradlab config with each ``"section.key": value`` of
-    ``updates`` set, written to ``path``."""
+    ``updates`` set, as JSON text."""
     with open(cli.bundled_path("configs/gradlab_default.json"), encoding="utf-8") as fh:
         cfg = json.load(fh)
     for dotted, value in updates.items():
@@ -335,7 +337,11 @@ def write_gradlab_config(path, updates):
         for name in parents:
             section = section.setdefault(name, {})
         section[key] = value
-    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return json.dumps(cfg)
+
+
+def write_gradlab_config(path, updates):
+    path.write_text(gradlab_config_text(updates), encoding="utf-8")
     return str(path)
 
 
@@ -783,3 +789,90 @@ class TestErrorContract:
         with pytest.raises(TypeError, match="bug in the run"):
             run(["align", "--out", str(tmp_path / "o")])
         assert capsys.readouterr().err == ""
+
+
+def gt_line(bbox="[0, 0, 4, 4]", category="ship"):
+    return '{"image_id": "i", "category": "%s", "bbox": %s}' % (category, bbox)
+
+
+def det_line(bbox="[0, 0, 4, 4]", category="ship"):
+    return gt_line(bbox, category)[:-1] + ', "score": 0.5}'
+
+
+def eval_files(registry='{"modalities": {"sar": ["ship"]}}', gt=(gt_line(),), det=(det_line(),)):
+    return {"registry.json": registry, "gt.jsonl": "\n".join(gt) + "\n",
+            "det.jsonl": "\n".join(det) + "\n"}
+
+
+EVAL = ["eval", "--gt", "gt.jsonl", "--det", "det.jsonl", "--registry", "registry.json",
+        "--out", "out"]
+GRADLAB = ["gradlab", "--config", "c.json", "--out", "out"]
+SURROGATE = "sh\\ud800ip"  # a JSON escape of a lone surrogate
+DIM = 3163  # dim * dim = 10,004,569 elements
+
+# files written in the working directory, argv, exit code, the pattern of the
+# one stderr line after "error: ", and whether "out" exists afterwards
+EXIT_CODES = [
+    pytest.param({}, ["hmap", "150"], 2, r"mAP value 150\.0 outside \[0, 100\]$", False,
+                 id="hmap-150"),
+    pytest.param(eval_files(registry='{"modalities": {"sar": ["ship", "ship"]}}'), EVAL, 2,
+                 r"category 'ship' is listed twice in modality 'sar'$", False,
+                 id="registry-lists-ship-twice"),
+    pytest.param(eval_files(det=[det_line(), det_line("[0, NaN, 4, 4]"),
+                                 det_line().replace('"image_id": "i", ', "")]),
+                 EVAL, 2, r"det\.jsonl:2: field 'bbox': coordinates must be finite", False,
+                 id="first-of-two-faulty-lines"),
+    pytest.param(eval_files('{"modalities": {"sar": ["%s"]}}' % SURROGATE,
+                            [gt_line(category=SURROGATE)], [det_line(category=SURROGATE)]),
+                 EVAL, 2, r"registry\.json: category 'sh\\ud800ip' cannot be written as UTF-8",
+                 False, id="surrogate-in-every-file"),
+    pytest.param(eval_files(gt=[gt_line("[0, 0, 1.1e154, 1e154]")],
+                            det=[det_line("[0, 0, 1.1e154, 1e154]")]),
+                 EVAL, 2, r"gt\.jsonl:1: field 'bbox': width 1\.1e\+154 and height 1e\+154: "
+                 r"width, height and twice the area must be finite$", False,
+                 id="box-area-overflows"),
+    pytest.param(eval_files(det=[det_line(), det_line("[-1e308, 0, 1e308, 4]")]),
+                 EVAL, 2, r"det\.jsonl:2: field 'bbox': width inf and height 4\.0: ", False,
+                 id="box-width-overflows"),
+    pytest.param({"c.json": gradlab_config_text({"hessian.dim": DIM,
+                                                 "hessian.det_eigs": [1.0] * DIM,
+                                                 "hessian.align_eigs": [1.0] * DIM})},
+                 GRADLAB, 2, r"hessian dim: 10004569 elements, more than the 10000000", False,
+                 id="hessian-dim-3163"),
+    pytest.param({"c.json": gradlab_config_text({"lambdas": [1e308]})}, GRADLAB, 2,
+                 r"lambda 1e\+308: H_det \+ lambda \* H_align overflows float64$", False,
+                 id="lambda-1e308"),
+]
+
+
+@pytest.mark.parametrize("files, argv, code, pattern, out_exists", EXIT_CODES)
+def test_exit_code_and_one_error_line(tmp_path, capsys, monkeypatch, files, argv, code, pattern,
+                                      out_exists):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert run(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match("error: " + pattern, err[0]), err
+    assert (tmp_path / "out").exists() == out_exists
+
+
+def test_exit_codes_as_the_process_sees_them(tmp_path):
+    """``sys.exit(main())`` hands the process its exit code: 0, 2 on an
+    input error and 3 on a numerical failure that keeps its --out."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def bk(*argv):
+        return subprocess.run([sys.executable, "-m", "babelkit.cli", *argv], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                              text=True)
+
+    ok = bk("hmap", "63.30", "46.96", "51.32")
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "53.02\n", "")
+    bad = bk("hmap", "150")
+    assert (bad.returncode, bad.stderr) == (2, "error: mAP value 150.0 outside [0, 100]\n")
+    (tmp_path / "align.json").write_text('{"lr": 1e8}', encoding="utf-8")
+    nan = bk("align", "--config", "align.json", "--out", "align")
+    assert nan.returncode == 3 and re.fullmatch(r"error: non-finite loss at step \d+\n", nan.stderr)
+    assert (tmp_path / "align").is_dir()

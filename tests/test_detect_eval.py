@@ -191,6 +191,32 @@ class TestIoU:
                     seen["disjoint"] += ra[2] < rb[0]
         assert min(seen.values()) > 50, seen
 
+    def test_table_bit_identical_at_the_area_edge(self):
+        # s is the largest side of a square whose twice area is finite: the
+        # sum of two such areas in a union does not overflow
+        s = math.sqrt(np.finfo(np.float64).max / 2)
+        rows = [[0, 0, s, s], [0, 0, 9e153, 9e153], [1e153, 2e153, 9e153, s],
+                [-s / 2, 0, s / 2, s], [s / 2, s / 4, s, s], [0, 0, s, 1e-300]]
+        boxes = np.array(rows)
+        table = iou_rows(boxes[:, None], boxes[None])
+        for i, ra in enumerate(rows):
+            for j, rb in enumerate(rows):
+                assert table[i, j].hex() == iou(Box(*ra), Box(*rb)).hex(), (ra, rb)
+        assert table[0, 0] == 1.0 and 0.0 < table[0, 2] < 1.0
+        with pytest.raises(ValueError, match="twice the area"):
+            Box(0, 0, math.nextafter(s, math.inf), math.nextafter(s, math.inf))
+
+    @pytest.mark.parametrize("corners", [
+        pytest.param((0, 0, 1.1e154, 1e154), id="area-overflows"),
+        pytest.param((0, 0, 1e200, 1e200), id="area-inf"),
+        pytest.param((-1e308, 0, 1e308, 1), id="width-inf"),
+        pytest.param((0, math.nan, 1, 1), id="nan-corner"),
+        pytest.param((0, 0, math.inf, 0), id="inf-corner-zero-height"),
+    ])
+    def test_box_too_large_refused(self, corners):
+        with pytest.raises(ValueError, match="width, height and twice the area must be finite"):
+            Box(*corners)
+
     def test_box_validation(self):
         with pytest.raises(ValueError, match="xmax"):
             Box(2, 0, 1, 1)
