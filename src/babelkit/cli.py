@@ -3,7 +3,8 @@
 Subcommands: eval, hmap, align, gradlab, sample. Exit codes: 0 success,
 2 input/config error, 3 numerical failure. Every run writes a manifest
 (JSON, atomically) recording command, config, seed, version, and outputs,
-so runs are reproducible byte-for-byte from the manifest alone.
+so runs are reproducible byte-for-byte from the manifest alone on one
+machine (same numpy dispatch target and BLAS kernel).
 
 Each subcommand's load and run import the modules they use, so a run
 imports (and, without cached bytecode, compiles) only its own.

@@ -172,12 +172,13 @@ def iou_rows(a, b):
     xmax, ymax], pair by pair under broadcasting (``iou_rows(a[:, None],
     b[None])`` is the table of every pair). Same float operations in the same
     order as ``iou``, so equal bit for bit on boxes ``check_box`` accepts."""
-    ix = _min(a[..., 2], b[..., 2]) - _max(a[..., 0], b[..., 0])
-    iy = _min(a[..., 3], b[..., 3]) - _max(a[..., 1], b[..., 1])
-    inter = _max(ix, 0.0) * _max(iy, 0.0)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    union = area_a + area_b - inter
+    with np.errstate(over="ignore"):  # far-apart boxes overflow to -inf, silently as in iou
+        ix = _min(a[..., 2], b[..., 2]) - _max(a[..., 0], b[..., 0])
+        iy = _min(a[..., 3], b[..., 3]) - _max(a[..., 1], b[..., 1])
+        inter = _max(ix, 0.0) * _max(iy, 0.0)
+        area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+        area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+        union = area_a + area_b - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 

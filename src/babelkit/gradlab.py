@@ -337,47 +337,27 @@ def _finetune_loss(tp, encoder, tasks, heads, lam):
 
 def _finetune(encoder, tasks, steps, lr, mode, lam):
     """Gradient descent on sum of task losses (+ lam * centroid alignment),
-    every primitive quantized under ``mode``. The first step records the
-    objective; every later step reruns that tape with new parameters."""
-    heads = {t.modality: t.head.copy() for t in tasks}
+    every primitive quantized under ``mode``, by ``tape.descend`` on a copy
+    of the encoder's parameters and the heads. A loss that is not finite or
+    over ``DIVERGENCE_LOSS_LIMIT`` (kept with a NaN grad-norm), or a
+    non-finite grad-norm, ends the run "diverged" before that step's update."""
+    heads = {t.modality: t.head for t in tasks}
+    params = {**encoder.params, **{f"head.{m}": h for m, h in heads.items()}}
     records = []
-    first_nonfinite = None
-    tp = None
-    for step in range(steps):
-        if tp is None:
-            tp = DiffTape(mode)
-            total = _finetune_loss(tp, encoder, tasks, heads, lam)
-        else:
-            tp.rerun({**encoder.params, **{f"head.{m}": h for m, h in heads.items()}})
-        loss = float(tp.value(total))
-        if not np.isfinite(loss) or loss > DIVERGENCE_LOSS_LIMIT:
-            records.append(RunRecord(step, loss, math.nan, 1.0))
-            first_nonfinite = step
-            break
-        grads = tp.backward(total)
-        gvec = np.concatenate([g.reshape(-1) for g in grads.values()])
-        gnorm = float(np.linalg.norm(gvec))
+    descent = T.descend(
+        lambda tp, _: _finetune_loss(tp, encoder, tasks, heads, lam), params, steps, lr, mode
+    )
+    for step, loss, grads, tp in descent:
+        gnorm = math.nan
+        if np.isfinite(loss) and loss <= DIVERGENCE_LOSS_LIMIT:
+            gnorm = float(np.linalg.norm(np.concatenate([g.reshape(-1) for g in grads.values()])))
         records.append(RunRecord(step, loss, gnorm, 1.0))
         if not np.isfinite(gnorm):
-            first_nonfinite = step
-            break
-        for name in encoder.PARAM_NAMES:
-            encoder.params[name] = encoder.params[name] - lr * grads[name]
-        for m in heads:
-            heads[m] = heads[m] - lr * grads[f"head.{m}"]
-
-    first_op = None
-    if first_nonfinite is not None:
-        verdict = "diverged"
-        found = tp.first_nonfinite()
-        if found is not None:
-            node_id, op = found
-            first_op = f"{op}#{node_id}"
-    elif not records or records[-1].loss <= records[0].loss:
-        verdict = "converged"
-    else:
-        verdict = "max-steps"
-    return RunTrace(records, verdict, first_nonfinite, first_op)
+            found = tp.first_nonfinite()  # None: a finite loss over the limit
+            return RunTrace(records, "diverged", step, found and f"{found[1]}#{found[0]}")
+    if not records or records[-1].loss <= records[0].loss:
+        return RunTrace(records, "converged")
+    return RunTrace(records, "max-steps")
 
 
 def run_late_alignment(config):

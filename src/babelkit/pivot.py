@@ -36,7 +36,6 @@ from babelkit.checks import (
     NumericalError, config_elements, config_int, config_keys, config_list, config_number,
 )
 from babelkit.lvsa import AnnealSchedule, FeaturePyramid, SelectedSet, anneal_alpha
-from babelkit.tape import DiffTape
 
 
 class NonFiniteLossError(NumericalError):
@@ -396,17 +395,15 @@ STEP_INPUTS = ("images", "lvsa.1-alpha", "lvsa.alpha")
 
 
 def pretrain_align(config, encoder=None):
-    """Plain full-batch gradient descent on the alignment loss.
+    """Plain full-batch gradient descent on the alignment loss by
+    ``tape.descend``, with ``STEP_INPUTS`` declared as tape inputs.
 
-    Record once, rerun every step: the first step builds its batch, checks
-    its tokens and records its graph with ``STEP_INPUTS`` declared as tape
-    inputs. The tokens come from the vocabulary, not from the step, so the
-    token pairs (the graph's gather indices) are fixed for the run. Every
-    later step reruns that tape with the encoder's parameters and its own
-    LVSA weights, and with its own image batch only when ``noise_sigma > 0``:
-    without noise every step's images are the recorded ones. Each step
-    still checks its alpha and its loss; a noisy step whose image batch has
-    another shape is a ShapeError.
+    Step 0 builds its batch and checks its tokens before anything is
+    recorded. The token pairs (the graph's gather indices) come from the
+    vocabulary, not from the step, so they are fixed for the run. Each step
+    passes its own LVSA weights, and its own image batch only when
+    ``noise_sigma > 0`` (a batch of another shape is a ShapeError). Every
+    step checks its alpha and its loss.
 
     Returns (encoder, trace) where trace is a list of (step, loss, alpha)
     tuples; raises NonFiniteLossError on numerical failure.
@@ -415,29 +412,30 @@ def pretrain_align(config, encoder=None):
     vocab, gens, pivot, fresh = build_world(config)
     if encoder is None:
         encoder = fresh
-    trace = []
-    tp = None
-    for step in range(config.steps):
+    batch = alpha = None
+
+    def inputs_at(step):
+        nonlocal batch, alpha
         alpha = encoder.alpha_at(step)
         inputs = dict(zip(STEP_INPUTS[1:], lvsa.fusion_weights(alpha)))
-        if tp is None or config.noise_sigma > 0:
+        if step == 0 or config.noise_sigma > 0:
             batch = training_batch(vocab, gens, config, step)
             inputs["images"] = np.stack([s.image for s in batch])
-        if tp is None:
+        if step == 0:
             check_tokens(pivot, batch)
-            tp = DiffTape()
-            x, w_final, w_mean = (tp.input(inputs[name], name) for name in STEP_INPUTS)
-            p = encoder.register(tp)
-            total = _alignment_loss(p, encoder, pivot, token_pairs(batch), x, (w_final, w_mean))
-        else:
-            tp.rerun({**encoder.params, **inputs})
-        loss = float(tp.value(total))
+        return inputs
+
+    def record(tp, inputs):
+        x, w_final, w_mean = (tp.input(inputs[name], name) for name in STEP_INPUTS)
+        p = encoder.register(tp)
+        return _alignment_loss(p, encoder, pivot, token_pairs(batch), x, (w_final, w_mean))
+
+    trace = []
+    descent = T.descend(record, encoder.params, config.steps, config.lr, inputs_at=inputs_at)
+    for step, loss, _, _ in descent:
         if not np.isfinite(loss):
             raise NonFiniteLossError(step)
-        grads = tp.backward(total)
         trace.append((step, loss, alpha))
-        for name in encoder.PARAM_NAMES:
-            encoder.params[name] = encoder.params[name] - config.lr * grads[name]
     return encoder, trace
 
 

@@ -19,11 +19,11 @@ A recorded tape is also a step plan: record once, rerun every step.
 ``DiffTape.input`` declares a named constant that a rerun may replace, and
 ``DiffTape.rerun(values)`` takes new arrays by name for the parameters and
 the declared inputs, then re-executes every op node in recording order with
-the same forwards and the same rounding. A training loop records its first
-step and reruns the tape for every later one; ``backward``,
-``first_nonfinite`` and ``value`` read the rerun outputs. ``replay`` runs
-the same program and compares. Recording on a tape that has been rerun is
-an error: its recorded Tensors hold the values of another step.
+the same forwards and the same rounding. ``descend``, the one training
+loop, records its first step and reruns it for every later one; then
+``backward``, ``first_nonfinite`` and ``value`` read the rerun outputs.
+``replay`` runs the same program and compares. Recording on a tape that has
+been rerun is an error: its recorded Tensors hold another step's values.
 
 What is resolved once per tape: recording an op checks its shapes (a rerun
 keeps every leaf's shape, so every shape downstream too) and appends the
@@ -316,6 +316,26 @@ class DiffTape:
                 if store:
                     nodes[node_id].output = out
         return values
+
+
+def descend(record, params, steps, lr, mode=EXACT, inputs_at=lambda step: {}):
+    """Plain gradient descent, record once and rerun: step 0 records the
+    scalar loss ``record(tape, inputs_at(0))`` on a fresh ``DiffTape(mode)``
+    with ``params``' values; each later step reruns it with ``params`` and
+    ``inputs_at(step)``. After each backward it yields ``(step, loss, grads,
+    tape)``, then sets ``params[name] = params[name] - lr * grads[name]``: a
+    caller's loop that stops stops before that step's update."""
+    for step in range(steps):
+        inputs = inputs_at(step)
+        if step == 0:
+            tp = DiffTape(mode)
+            total = record(tp, inputs)
+        else:
+            tp.rerun({**params, **inputs})
+        grads = tp.backward(total)
+        yield step, float(tp.value(total)), grads, tp
+        for name in params:
+            params[name] = params[name] - lr * grads[name]
 
 
 # -- primitives --------------------------------------------------------------

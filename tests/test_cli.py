@@ -872,6 +872,13 @@ def test_exit_codes_as_the_process_sees_them(tmp_path):
     assert (ok.returncode, ok.stdout, ok.stderr) == (0, "53.02\n", "")
     bad = bk("hmap", "150")
     assert (bad.returncode, bad.stderr) == (2, "error: mAP value 150.0 outside [0, 100]\n")
+    # boxes so far apart that their gap overflows: scored 0 without a warning
+    for name, text in eval_files(registry='{"modalities": {"sar": ["sar/ship"]}}',
+                                 gt=[gt_line("[-1e308, 0, -9e307, 1]", "sar/ship")],
+                                 det=[det_line("[9e307, 0, 1e308, 1]", "sar/ship")]).items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    far = bk(*EVAL)
+    assert (far.returncode, far.stdout, far.stderr) == (0, "mAP=0.00 H-mAP=0.00\n", "")
     (tmp_path / "align.json").write_text('{"lr": 1e8}', encoding="utf-8")
     nan = bk("align", "--config", "align.json", "--out", "align")
     assert nan.returncode == 3 and re.fullmatch(r"error: non-finite loss at step \d+\n", nan.stderr)

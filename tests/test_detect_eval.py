@@ -637,6 +637,16 @@ class TestEvaluate:
             evaluate(Records.of(dets), Records.of(gts), reg, thresholds=grid)
             assert calls == {"sort": len(scored), "match": len(scored) * matches}
 
+    def test_far_apart_boxes_score_zero_without_a_warning(self):
+        # their gap overflows to -inf in the IoU table as in the scalar iou;
+        # pytest's error::RuntimeWarning filter fails the test on a warning
+        gt, det = Box(-1e308, 0, -9e307, 1), Box(9e307, 0, 1e308, 1)
+        assert iou(gt, det) == 0.0
+        rep = evaluate(Records.of([Detection("img", "sar/ship", det, 0.5)]),
+                       Records.of([GroundTruthEntry("img", "sar/ship", gt)]),
+                       ModalityRegistry({"sar": ("sar/ship",)}))
+        assert rep.per_category_ap["sar/ship"]["ap50"] == 0.0 and rep.global_map == 0.0
+
     def test_unregistered_category_rejected(self):
         reg = self._registry()
         with pytest.raises(KeyError):

@@ -340,7 +340,7 @@ class TestRecordOnceRerun:
             raise AssertionError("recorded a step from a batch with a bad token")
 
         self._swap_at(monkeypatch, 0, out_of_range)
-        monkeypatch.setattr(P, "DiffTape", refuse)
+        monkeypatch.setattr("babelkit.tape.DiffTape", refuse)
         with pytest.raises(ValueError, match="token 99 outside vocabulary"):
             P.pretrain_align(P.AlignConfig(steps=6))
 

@@ -502,6 +502,52 @@ class TestRecordAfterRerun:
         assert T.add(other.parameter(1.0, "x"), 1.0).item() == 2.0
 
 
+class TestDescend:
+    """``tape.descend`` on the tiny objective mean((w * x - 1)^2), with the
+    step's x a declared input."""
+
+    def _descent(self, steps, lr=0.1):
+        """(descend generator, params, record's calls, inputs_at's steps)."""
+        params = {"w": np.array([0.5, -1.0])}
+        recorded, asked = [], []
+
+        def record(tp, inputs):
+            recorded.append(len(asked))
+            err = T.add(T.mul(tp.parameter(params["w"], "w"), tp.input(inputs["x"], "x")), -1.0)
+            return T.mean(T.mul(err, err))
+
+        def inputs_at(step):
+            asked.append(step)
+            return {"x": np.array([1.0, 2.0]) + step}
+
+        return T.descend(record, params, steps, lr, inputs_at=inputs_at), params, recorded, asked
+
+    def test_records_once_and_reruns_every_later_step(self):
+        descent, params, recorded, asked = self._descent(5)
+        w = params["w"]
+        for step, loss, grads, tp in descent:
+            x = np.array([1.0, 2.0]) + step
+            assert loss == pytest.approx(np.mean((w * x - 1.0) ** 2), rel=1e-15)
+            assert grads["w"] == pytest.approx(x * (w * x - 1.0), rel=1e-15)
+            w = w - 0.1 * grads["w"]
+        assert recorded == [1] and asked == [0, 1, 2, 3, 4]
+        assert params["w"].tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_break_stops_before_that_steps_update(self, k):
+        descent, params, _, _ = self._descent(5)
+        for step, _, grads, tp in descent:
+            ran_with = tp.nodes[tp.parameters["w"]].output.copy()
+            if step == k:
+                break
+        assert step == k and np.all(grads["w"] != 0.0)
+        assert params["w"].tobytes() == ran_with.tobytes()
+
+    def test_zero_steps_yield_nothing(self):
+        descent, params, recorded, asked = self._descent(0)
+        assert list(descent) == [] and recorded == [] and asked == []
+        assert params["w"].tolist() == [0.5, -1.0]
+
 def reference_backward(tape, output):
     """backward as a per-node interpreter over the whole tape: every node
     from the output down, its VJPs looked up and its inputs tested for
